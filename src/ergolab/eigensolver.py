@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from .grid import (
     Grid,
@@ -101,7 +101,9 @@ def policy_evaluation(
     Finds (u, lambda) with (-Lap + control . D_upwind) u + lambda = cost on
     interior nodes, u(origin) = 0, and the boundary closure from the
     options.  Returns the full-grid field (boundary filled per closure) and
-    the eigenvalue.
+    the eigenvalue.  The bordered system is factored once with SuperLU
+    (COLAMD ordering); a residual above the evaluation tolerance gets one
+    step of iterative refinement with that factor before it is checked.
 
     Raises:
         SingularEvaluationError: the bordered system is numerically singular
@@ -123,13 +125,21 @@ def policy_evaluation(
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            sol = spsolve(system, b)
+            lu = splu(system)
+            sol = lu.solve(b)
         except (MatrixRankWarning, RuntimeError) as exc:
             raise SingularEvaluationError(f"evaluation solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise SingularEvaluationError("evaluation solve returned non-finite values")
-    resid = np.abs(system @ sol - b).max() / (1.0 + np.abs(b).max())
+    scale = 1.0 + np.abs(b).max()
+    resid = np.abs(system @ sol - b).max() / scale
     if resid > opts.eval_tolerance:
+        # on fine 2d grids the direct solve alone can miss the tolerance by a
+        # small factor (2.3e-10 at 160,801 nodes); one refinement step with
+        # the same factor recovers it
+        sol = sol + lu.solve(b - system @ sol)
+        resid = np.abs(system @ sol - b).max() / scale
+    if not resid <= opts.eval_tolerance:
         raise SingularEvaluationError(
             f"evaluation residual {resid:.3e} exceeds tolerance {opts.eval_tolerance:.1e}"
         )

@@ -20,7 +20,6 @@ from .hamiltonian import (
     hamiltonian_value,
     lagrangian_value,
     optimal_control,
-    pure_power,
 )
 
 SWEEP_GROWTH_LIMIT = 1.5  # bounded-constant criterion over radius sweeps
@@ -165,11 +164,12 @@ def _gradient_ratio_constant(
 
 
 def _resolve_refined(
-    solution: ErgodicSolution, potential: PotentialSpec, gamma: float
+    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
 ) -> ErgodicSolution:
+    """The same problem re-solved at half the spacing."""
     grid = solution.grid
     fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
-    return solve_ergodic_hjb(fine, pure_power(gamma), potential, SolverOptions())
+    return solve_ergodic_hjb(fine, model, potential, SolverOptions())
 
 
 def _stable(a: float, b: float) -> bool:
@@ -181,25 +181,27 @@ def _stable(a: float, b: float) -> bool:
 
 def check_gradient_bound(
     solution: ErgodicSolution,
+    model: HamiltonianModel,
     potential: PotentialSpec,
     radii: list,
-    gamma: float,
     include_gradient_term: bool = True,
     refine: bool = True,
 ) -> EstimateReport:
     """Audit the local gradient estimate sup_{B_r} |Du| against the scaled
-    right-hand side r^(-1/(g-1)) + sup (f - lambda)_+^(1/g) + sup |Df|^(1/(2g-1)).
+    right-hand side r^(-1/(g-1)) + sup (f - lambda)_+^(1/g) + sup |Df|^(1/(2g-1)),
+    with g the model's gamma.
 
     With include_gradient_term=False the |Df| term is dropped, the form valid
     once the potential satisfies the gradient-growth condition.  The constant
     is refit on the half-spacing solve of the same instance; stability within
     25% passes.
     """
+    gamma = model.gamma
     c_h, witness = _gradient_ratio_constant(
         solution, potential, radii, gamma, include_gradient_term
     )
     if refine:
-        refined = _resolve_refined(solution, potential, gamma)
+        refined = _resolve_refined(solution, model, potential)
         c_half, _ = _gradient_ratio_constant(
             refined, potential, radii, gamma, include_gradient_term
         )
@@ -257,18 +259,19 @@ def _lower_bound_constants(
 
 def check_value_lower_bounds(
     solution: ErgodicSolution,
+    model: HamiltonianModel,
     potential: PotentialSpec,
-    gamma: float,
     refine: bool = True,
 ) -> EstimateReport:
     """Audit the subquadratic lower-bound pair: |Du|^2/u <= M0 f, and
     inf u over f^(-1/g*)-scaled balls >= kappa f^((g*-2)/g*)."""
-    gstar = gamma / (gamma - 1.0)
+    gamma = model.gamma
+    gstar = model.gamma_star
     m0, kappa, witness, coverage = _lower_bound_constants(
         solution, potential, gamma, (gstar - 2.0) / gstar, -1.0 / gstar
     )
     if refine:
-        refined = _resolve_refined(solution, potential, gamma)
+        refined = _resolve_refined(solution, model, potential)
         m0_half, kappa_half, _, _ = _lower_bound_constants(
             refined, potential, gamma, (gstar - 2.0) / gstar, -1.0 / gstar
         )
@@ -293,11 +296,12 @@ def check_value_lower_bounds(
 
 
 def check_superquadratic_scaling(
-    solution: ErgodicSolution, potential: PotentialSpec, gamma: float
+    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
 ) -> EstimateReport:
     """Superquadratic (gamma >= 2) variant with rebalanced exponents:
     |Df| <= k0 (1 + |f|^((4g-3)/(3g-2))) and the ball lower bound
     inf u >= kappa f^(g/(3g-2)) at scale f^((1-g)/(3g-2))."""
+    gamma = model.gamma
     if gamma < 2.0:
         raise ValueError("superquadratic audit requires gamma >= 2")
     grid = solution.grid
@@ -309,7 +313,7 @@ def check_superquadratic_scaling(
     kexp = gamma / (3.0 * gamma - 2.0)
     sexp = (1.0 - gamma) / (3.0 * gamma - 2.0)
     _, kappa, _, coverage = _lower_bound_constants(solution, potential, gamma, kexp, sexp)
-    refined = _resolve_refined(solution, potential, gamma)
+    refined = _resolve_refined(solution, model, potential)
     _, kappa_half, _, _ = _lower_bound_constants(refined, potential, gamma, kexp, sexp)
     passed = _sweep_passed(sweep) and _stable(kappa, kappa_half) and kappa > 0
     return EstimateReport(

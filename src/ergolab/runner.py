@@ -184,9 +184,11 @@ def _dispatch(config: RunConfig, out: Path, results: dict, checks: dict) -> None
         measure, lam_bar = solve_lp(problem)
         spacing_xi = 2.0 * float(bound) / (int(config["lp"]["xi_count"]) - 1)
         dist = minimizer_control_distance(measure, sol)
+        certificates = dict(measure.info)
         results["lp"] = {
             "lambda_bar": lam_bar,
-            "certificates": measure.info,
+            "stats": certificates.pop("stats"),
+            "certificates": certificates,
             "minimizer_control_distance": dist,
             "xi_bound": float(bound),
             "xi_count": int(config["lp"]["xi_count"]),

@@ -185,8 +185,9 @@ def _run_paths(
                     adm_q1 += adm
                 adm_sum += adm
                 X += -xi * dt + dw[:, j]
-                if np.abs(X).max() > box:
-                    alive &= ~(np.abs(X).max(axis=1) > box)
+                # written so that a NaN coordinate fails the box test too
+                if not np.abs(X).max() <= box:
+                    alive &= np.abs(X).max(axis=1) <= box
                     all_alive = bool(alive.all())
             else:
                 live = alive
@@ -199,7 +200,7 @@ def _run_paths(
                     adm_q1[live] += adm[live]
                 adm_sum[live] += adm[live]
                 X[live] = X[live] - xi[live] * dt + dw[live, j]
-                escaped = live & (np.abs(X).max(axis=1) > box)
+                escaped = live & ~(np.abs(X).max(axis=1) <= box)
                 if escaped.any():
                     alive = alive & ~escaped
         k += b

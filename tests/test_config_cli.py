@@ -190,6 +190,16 @@ def test_standalone_scenarios(tmp_path, scenario):
     assert code == 0, payload["checks"]
     key = {"lp": "lp", "simulate": "simulate", "compare": "compare"}[scenario]
     assert key in payload["results"]
+    if scenario == "lp":
+        stats = payload["results"]["lp"]["stats"]
+        assert stats["columns"] == 81 * 21
+        assert stats["active_columns"] <= stats["columns"]
+        assert stats["pricing_rounds"] >= 1 and stats["highs_iterations"] >= 1
+        assert set(payload["results"]["lp"]["certificates"]) == {
+            "primal_feasibility",
+            "complementarity",
+            "dual_feasibility_min",
+        }
 
 
 def test_run_scenario_api(tmp_path):

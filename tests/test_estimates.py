@@ -98,7 +98,7 @@ def test_envelope_implies_gradient_growth(audit_grid):
 
 def test_gradient_bound_manufactured(manufactured):
     g, pot, sol = manufactured
-    rep = check_gradient_bound(sol, pot, [0.25, 0.5, 1.0], 1.5)
+    rep = check_gradient_bound(sol, pure_power(1.5), pot, [0.25, 0.5, 1.0])
     assert rep.passed
     assert rep.fitted_constant > 0
     a, b = rep.sweep
@@ -107,7 +107,7 @@ def test_gradient_bound_manufactured(manufactured):
 
 def test_gradient_bound_without_gradient_term(manufactured):
     g, pot, sol = manufactured
-    rep = check_gradient_bound(sol, pot, [0.25, 0.5, 1.0], 1.5,
+    rep = check_gradient_bound(sol, pure_power(1.5), pot, [0.25, 0.5, 1.0],
                                include_gradient_term=False)
     assert rep.passed
 
@@ -118,13 +118,13 @@ def test_gradient_bound_constant_field(manufactured):
         u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
         residual_sup=0.0, iterations=0, grid=g, converged=True,
     )
-    rep = check_gradient_bound(flat, pot, [0.5], 1.5, refine=False)
+    rep = check_gradient_bound(flat, pure_power(1.5), pot, [0.5], refine=False)
     assert rep.fitted_constant == 0.0
 
 
 def test_value_lower_bounds_manufactured(manufactured):
     g, pot, sol = manufactured
-    rep = check_value_lower_bounds(sol, pot, 1.5)
+    rep = check_value_lower_bounds(sol, pure_power(1.5), pot)
     assert rep.passed
     assert rep.details["kappa"] > 0
     assert rep.details["coverage"] > 0.5
@@ -136,30 +136,50 @@ def test_value_lower_bounds_trivial_instance():
         u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
         residual_sup=0.0, iterations=0, grid=g, converged=True,
     )
-    rep = check_value_lower_bounds(flat, constant_potential(1.0), 1.5, refine=False)
+    rep = check_value_lower_bounds(
+        flat, pure_power(1.5), constant_potential(1.0), refine=False
+    )
     assert rep.fitted_constant == 0.0
     assert rep.details["kappa"] == pytest.approx(1.0)
+
+
+def test_refinement_audits_resolve_the_drift_model():
+    # the half-spacing re-solve must be of the run's own model; the driftless
+    # problem's gradient constant differs by more than the 25% band
+    g = build_grid(1, 4.0, 0.04)
+    model = drift_power(1.5, lambda x: np.full_like(x, 0.5), 0.5)
+    pot = quadratic_power_potential(1.5)
+    sol = solve_ergodic_hjb(g, model, pot)
+    fine = solve_ergodic_hjb(build_grid(1, 4.0, 0.02), model, pot)
+    radii = [0.25, 0.5, 1.0]
+    grad = check_gradient_bound(sol, model, pot, radii)
+    direct = check_gradient_bound(fine, model, pot, radii, refine=False)
+    assert grad.sweep[1] == direct.fitted_constant
+    assert grad.passed
+    lower = check_value_lower_bounds(sol, model, pot)
+    direct = check_value_lower_bounds(fine, model, pot, refine=False)
+    assert lower.sweep[1] == direct.fitted_constant
 
 
 def test_superquadratic_audit():
     g = build_grid(1, 6.0, 0.02)
     pot = quadratic_power_potential(2.0)
     sol = solve_ergodic_hjb(g, pure_power(2.0), pot)
-    rep = check_superquadratic_scaling(sol, pot, 2.0)
+    rep = check_superquadratic_scaling(sol, pure_power(2.0), pot)
     assert rep.passed
     assert rep.details["kappa"] > 0
 
     g3 = build_grid(1, 5.0, 0.02)
     pot3 = quadratic_power_potential(3.0)
     sol3 = solve_ergodic_hjb(g3, pure_power(3.0), pot3)
-    rep3 = check_superquadratic_scaling(sol3, pot3, 3.0)
+    rep3 = check_superquadratic_scaling(sol3, pure_power(3.0), pot3)
     assert rep3.passed
 
 
 def test_superquadratic_rejects_subquadratic(manufactured):
     g, pot, sol = manufactured
     with pytest.raises(ValueError):
-        check_superquadratic_scaling(sol, pot, 1.5)
+        check_superquadratic_scaling(sol, pure_power(1.5), pot)
 
 
 def test_drift_perturbation_zero_drift():

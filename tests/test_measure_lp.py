@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ergolab.density import GridMeasure, exact_pair_measure, stationary_density
 from ergolab.eigensolver import solve_ergodic_hjb
@@ -21,6 +22,19 @@ from ergolab.measure_lp import (
     solve_lp,
     uniform_xi_atoms,
 )
+
+
+def full_lp_value(problem: LPProblem) -> float:
+    """Oracle: one HiGHS solve over every (node, atom) column."""
+    res = linprog(
+        problem.objective,
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +99,34 @@ def test_constant_potential_lp():
     model = pure_power(2.0)
     pot = constant_potential(3.0)
     problem = assemble_lp(g, np.array([[0.0]]), model, pot)
-    _, lam_bar = solve_lp(problem)
+    measure, lam_bar = solve_lp(problem)
     assert lam_bar == pytest.approx(3.0, abs=1e-9)
+    # the single atom is the whole seed, so nothing is left to price
+    assert measure.info["stats"]["pricing_rounds"] == 1
+    assert measure.info["stats"]["active_columns"] == g.num_nodes
+
+
+def test_column_generation_matches_full_lp_1d(lp_instance):
+    g, _, _, _, atoms, problem, measure, lam_bar = lp_instance
+    assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
+    assert measure.info["dual_feasibility_min"] >= -1e-9
+    stats = measure.info["stats"]
+    assert stats["columns"] == g.num_nodes * atoms.shape[0]
+    # the optimum needs atoms beyond 0 and the axis ends
+    assert stats["pricing_rounds"] >= 2
+    assert 3 * g.num_nodes < stats["active_columns"] < stats["columns"]
+    assert stats["status"] == 0
+
+
+def test_column_generation_matches_full_lp_2d():
+    g = build_grid(2, 2.0, 0.25)
+    model = pure_power(1.5)
+    pot = quadratic_power_potential(1.5)
+    problem = assemble_lp(g, uniform_xi_atoms(1.0, 5, 2), model, pot)
+    measure, lam_bar = solve_lp(problem)
+    assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
+    assert measure.info["dual_feasibility_min"] >= -1e-9
+    assert measure.info["stats"]["pricing_rounds"] >= 2
 
 
 def test_objective_shift_moves_value_exactly(lp_instance):

@@ -7,6 +7,7 @@ from ergolab.hamiltonian import pure_power, quadratic_power_potential
 from ergolab.simulate import (
     SimParams,
     _ControlInterp,
+    _run_paths,
     compare_controls,
     simulate_average,
 )
@@ -83,6 +84,20 @@ def test_outward_drift_paths_flagged_divergent(instance):
     assert rep.n_divergent == 4
     assert np.isnan(rep.mean)
     assert rep.params.safety_factor * g.radius == pytest.approx(18.0)
+
+
+def test_non_finite_paths_flagged_divergent(instance):
+    # a control that evaluates to NaN right of x = 1.5 turns every path that
+    # reaches there into NaN; NaN fails the box test, so such paths count as
+    # divergent instead of poisoning the mean
+    g, model, pot, sol = instance
+    interp = _ControlInterp(g, sol.xi_u)
+    interp.field[g.coords[:, 0] > 1.5] = np.nan
+    p = SimParams(horizon=2.0, timestep=1e-3, n_paths=8, seed=5)
+    out = _run_paths(np.arange(p.n_paths), interp, model, pot, p)
+    nan_paths = ~np.isfinite(out["averages"])
+    assert 0 < nan_paths.sum() < p.n_paths
+    assert np.array_equal(out["diverged"], nan_paths)
 
 
 def test_ou_quadratic_statistical(instance):
