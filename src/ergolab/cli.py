@@ -75,7 +75,8 @@ def main(argv=None) -> int:
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {name}: value={chk['value']} tolerance={chk['tolerance']}")
     if "error" in results:
-        print(f"numerical failure: {results['error']}", file=sys.stderr)
+        kind = "configuration error" if report.exit_code == 2 else "numerical failure"
+        print(f"{kind}: {results['error']}", file=sys.stderr)
     return report.exit_code
 
 

@@ -173,7 +173,10 @@ class RunConfig:
 
     def grid(self) -> Grid:
         g = self.raw["grid"]
-        return build_grid(g["dim"], g["radius"], g["spacing"])
+        try:
+            return build_grid(g["dim"], g["radius"], g["spacing"])
+        except ValueError as exc:
+            raise ConfigError(f"'grid': {exc}") from exc
 
     def model(self) -> HamiltonianModel:
         m = self.raw["model"]
@@ -185,9 +188,9 @@ class RunConfig:
             fn = lambda x: amp * np.sin(x)
             bound = abs(amp) * np.sqrt(self.raw["grid"]["dim"])
         elif name == "constant":
-            vec = m["drift_vector"]
-            if vec is None:
-                raise ConfigError("'model.drift_vector' required for constant drift")
+            vec, dim = m["drift_vector"], self.raw["grid"]["dim"]
+            if not (isinstance(vec, list) and len(vec) == dim):
+                raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} components")
             vec = np.asarray(vec, dtype=float)
             fn = lambda x: np.tile(vec, (x.shape[0], 1))
             bound = float(np.linalg.norm(vec))
@@ -215,7 +218,6 @@ class RunConfig:
             lambda_tolerance=float(s["lambda_tolerance"]),
             boundary_mode=boundary_mode or s["boundary_mode"],
             dirichlet_value=float(s["dirichlet_value"]),
-            eps_grad=float(s["eps_grad"]),
             control_tolerance=float(s["control_tolerance"]),
         )
 

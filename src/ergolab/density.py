@@ -1,10 +1,11 @@
 """Stationary density of a controlled diffusion and measure-weighted costs.
 
-The density is the probability null vector of the transposed generator
-matrix, assembled with exactly the same upwind stencils and conservative
-wall closure as policy evaluation.  That shared assembly is deliberate: it
-makes the average cost under the optimally controlled density reproduce the
-eigenvalue to solver precision.
+The density is the probability null vector of the transposed generator,
+taken as the transposed solve of the bordered system policy evaluation
+factors (``operators.factor_bordered``).  Sharing that system makes the
+discrete Fokker-Planck operator the exact adjoint of the linearised HJB
+operator, so the average cost under the optimally controlled density
+reproduces the eigenvalue to solver precision.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .grid import Grid, check_vector_field
 from .hamiltonian import HamiltonianModel, PotentialSpec, running_cost
-from .operators import assemble_generator
+from .operators import assemble_generator, factor_bordered
 
 ADJOINT_TOL = 1e-10
 
@@ -39,29 +39,28 @@ class DensityField:
 def stationary_density(grid: Grid, control: np.ndarray) -> DensityField:
     """Probability null vector of the transposed generator under a control.
 
-    Solves A^T rho = 0 with the mass normalization sum(rho) h^d = 1 by
-    replacing the origin row with the mass row; because the conservative
-    closure gives A zero row sums, the replaced row's residual is controlled
-    by the others and the full adjoint residual stays below 1e-10.
+    Factors the bordered system [[A, 1], [e_origin^T, 0]] of the
+    state-constraint generator A and solves its transpose with right-hand
+    side (0, 1/h^d): A^T rho + m e_origin = 0 and sum(rho) h^d = 1.  The
+    conservative closure gives A zero row sums, so summing the first block
+    forces the multiplier m to 0 and rho is the normalized null vector; the
+    full adjoint residual is checked below 1e-10.
     """
     control = check_vector_field(control, grid)
     A, _ = assemble_generator(grid, control)  # state-constraint closure only
-    at = A.T.tocsr()
     nint = grid.num_interior
-    origin = grid.interior_index[grid.origin_id]
     hd = grid.spacing**grid.dim
-
-    keep = np.ones(nint, dtype=bool)
-    keep[origin] = False
-    mass_row = sparse.csr_matrix((np.full(nint, hd), (np.zeros(nint, dtype=int), np.arange(nint))), shape=(1, nint))
-    system = sparse.vstack([at[np.flatnonzero(keep)], mass_row], format="csc")
-    b = np.zeros(nint)
-    b[-1] = 1.0
-    rho_int = spsolve(system, b)
+    try:
+        _, lu = factor_bordered(grid, A)
+    except RuntimeError as exc:
+        raise ReducibleChainError(f"adjoint factorization failed: {exc}") from exc
+    e_mass = np.zeros(nint + 1)
+    e_mass[-1] = 1.0
+    rho_int = lu.solve(e_mass / hd, trans="T")[:nint]
     if not np.all(np.isfinite(rho_int)):
         raise ReducibleChainError("adjoint solve returned non-finite values")
 
-    resid = np.abs(at @ rho_int).max() / max(np.abs(rho_int).max(), 1.0)
+    resid = np.abs(A.T @ rho_int).max() / max(np.abs(rho_int).max(), 1.0)
     if resid > ADJOINT_TOL:
         raise ReducibleChainError(
             f"adjoint residual {resid:.3e} exceeds {ADJOINT_TOL:.1e}; "
@@ -134,20 +133,6 @@ def pair_measure(
         grid=grid,
         clipped=int(outside.sum()),
     )
-
-
-def exact_pair_measure(density: DensityField, control: np.ndarray) -> GridMeasure:
-    """Pair measure whose atoms are the control's own node values (no snapping)."""
-    grid = density.grid
-    control = check_vector_field(control, grid)
-    support = np.flatnonzero(density.rho > 0)
-    atoms = control[support]
-    hd = grid.spacing**grid.dim
-    weights = sparse.csr_matrix(
-        (density.rho[support] * hd, (support, np.arange(support.size))),
-        shape=(grid.num_nodes, support.size),
-    )
-    return GridMeasure(weights=weights, xi_atoms=atoms, grid=grid, clipped=0)
 
 
 def average_cost(

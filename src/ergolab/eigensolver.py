@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from .grid import (
     Grid,
@@ -36,9 +34,13 @@ from .hamiltonian import (
     hamiltonian_value,
     lagrangian_value,
     optimal_control,
-    tabulated_potential,
 )
-from .operators import DIRICHLET_BIG, STATE_CONSTRAINT, assemble_generator, max_stable_drift
+from .operators import (
+    DIRICHLET_BIG,
+    STATE_CONSTRAINT,
+    assemble_generator,
+    factor_bordered,
+)
 
 
 class SingularEvaluationError(RuntimeError):
@@ -52,7 +54,6 @@ class SolverOptions:
     lambda_tolerance: float = 1e-10
     boundary_mode: str = STATE_CONSTRAINT
     dirichlet_value: float = 1e6
-    eps_grad: float = 1e-12
     # Control stationarity threshold for the outer iteration.  Roundoff in
     # the linear solves, amplified by the singular exponent of the control
     # map near Du = 0, floors successive control differences around 1e-7 in
@@ -81,15 +82,6 @@ class ErgodicSolution:
     lambda_history: list = field(default_factory=list)
 
 
-def _fill_boundary(u_int: np.ndarray, grid: Grid, opts: SolverOptions) -> np.ndarray:
-    full = np.zeros(grid.num_nodes)
-    full[grid.interior_ids] = u_int
-    if opts.boundary_mode == DIRICHLET_BIG:
-        full[~grid.interior_mask] = opts.dirichlet_value
-        return full
-    return fill_boundary_nearest(full, grid)
-
-
 def policy_evaluation(
     grid: Grid,
     control: np.ndarray,
@@ -101,9 +93,10 @@ def policy_evaluation(
     Finds (u, lambda) with (-Lap + control . D_upwind) u + lambda = cost on
     interior nodes, u(origin) = 0, and the boundary closure from the
     options.  Returns the full-grid field (boundary filled per closure) and
-    the eigenvalue.  The bordered system is factored once with SuperLU
-    (COLAMD ordering); a residual above the evaluation tolerance gets one
-    step of iterative refinement with that factor before it is checked.
+    the eigenvalue.  The bordered system is factored once by
+    ``factor_bordered`` (SuperLU, COLAMD ordering); a residual above the
+    evaluation tolerance gets one step of iterative refinement with that
+    factor before it is checked.
 
     Raises:
         SingularEvaluationError: the bordered system is numerically singular
@@ -116,19 +109,12 @@ def policy_evaluation(
         grid, control, opts.boundary_mode, opts.dirichlet_value
     )
     nint = grid.num_interior
-    origin = grid.interior_index[grid.origin_id]
-    norm_row = sparse.coo_matrix(([1.0], ([0], [origin])), shape=(1, nint))
-    system = sparse.bmat(
-        [[A, np.ones((nint, 1))], [norm_row, None]], format="csc"
-    )
     b = np.concatenate([cost[grid.interior_ids] + rhs_bnd, [0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            lu = splu(system)
-            sol = lu.solve(b)
-        except (MatrixRankWarning, RuntimeError) as exc:
-            raise SingularEvaluationError(f"evaluation solve failed: {exc}") from exc
+    try:
+        system, lu = factor_bordered(grid, A)
+    except RuntimeError as exc:
+        raise SingularEvaluationError(f"evaluation solve failed: {exc}") from exc
+    sol = lu.solve(b)
     if not np.all(np.isfinite(sol)):
         raise SingularEvaluationError("evaluation solve returned non-finite values")
     scale = 1.0 + np.abs(b).max()
@@ -143,8 +129,12 @@ def policy_evaluation(
         raise SingularEvaluationError(
             f"evaluation residual {resid:.3e} exceeds tolerance {opts.eval_tolerance:.1e}"
         )
-    u_full = _fill_boundary(sol[:nint], grid, opts)
-    return u_full, float(sol[nint])
+    u = np.zeros(grid.num_nodes)
+    u[grid.interior_ids] = sol[:nint]
+    if opts.boundary_mode == DIRICHLET_BIG:
+        u[~grid.interior_mask] = opts.dirichlet_value
+        return u, float(sol[nint])
+    return fill_boundary_nearest(u, grid), float(sol[nint])
 
 
 def policy_improvement(
@@ -173,12 +163,8 @@ def _wall_outward_max(grid: Grid, control: np.ndarray) -> float:
     for a in range(grid.dim):
         for s in (-1, 1):
             at_wall = grid.interior_neighbor(a, s) < 0
-            if not at_wall.any():
-                continue
-            w = control[ids[at_wall], a]
-            outward = -s * w  # upwind side s is selected when sign(w) = -s
-            if outward.size:
-                worst = max(worst, float(outward.max()))
+            # upwind side s is selected when sign(w) = -s
+            worst = max(worst, float((-s * control[ids[at_wall], a]).max(initial=0.0)))
     return worst
 
 
@@ -186,7 +172,6 @@ def _check_coercive(grid: Grid, fvals: np.ndarray, family: str) -> None:
     # sample f along each half-axis from the origin; warn if not non-decreasing
     mesh = fvals.reshape(grid.shape)
     m = grid.half_width
-    lines = []
     if grid.dim == 1:
         lines = [mesh[m:], mesh[m::-1]]
     else:
@@ -217,14 +202,13 @@ def solve_ergodic_hjb(
     fvals = potential.on_grid(grid)
     _check_coercive(grid, fvals, potential.family)
     coords = grid.coords
-    ids = grid.interior_ids
     control = np.zeros((grid.num_nodes, grid.dim))
     lam_prev = None
     lam_hist: list[float] = []
     u = np.zeros(grid.num_nodes)
     converged = False
     iterations = 0
-    drift_cap = max_stable_drift(grid)
+    drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for k in range(opts.max_policy_iters):
         cost = fvals + np.atleast_1d(lagrangian_value(model, coords, control))
         u, lam = policy_evaluation(grid, control, cost, opts)
@@ -300,14 +284,12 @@ def domain_exhaustion(
     spacing: float,
     opts: SolverOptions = SolverOptions(),
     dim: int = 1,
-    workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Solve on an increasing family of boxes and report lambda per radius.
 
     With the pinned-boundary mode this replicates the shrinking sequence of
     truncated-domain eigenvalues; per-radius solver failures are recorded as
-    NaN and the remaining radii still run.  Results are ordered by radius
-    regardless of worker count.
+    NaN and the remaining radii still run.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -323,35 +305,4 @@ def domain_exhaustion(
             warnings.warn(f"radius {r}: {exc}", stacklevel=2)
             return float("nan")
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lams = list(pool.map(solve_one, radii))
-    else:
-        lams = [solve_one(r) for r in radii]
-    return list(zip(radii, lams))
-
-
-def solve_scaled_instance(
-    solution: ErgodicSolution,
-    model: HamiltonianModel,
-    potential: PotentialSpec,
-    scale: float,
-    opts: SolverOptions = SolverOptions(),
-) -> tuple[ErgodicSolution, Grid]:
-    """Solve the zoomed-in instance used by the rescaling consistency check.
-
-    Builds the unit-scaled grid of radius R/scale and spacing h/scale, with
-    potential scale^(g*) (f(scale*y) - lambda), whose solution should match
-    scale^((2-gamma)/(gamma-1)) u(scale*y) up to a constant and O(h).
-    """
-    grid = solution.grid
-    sub = build_grid(grid.dim, grid.radius / scale, grid.spacing / scale)
-    fvals = potential.values(sub.coords * scale)
-    f_scaled = scale**model.gamma_star * (fvals - solution.lam)
-    pot = tabulated_potential(sub, f_scaled)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scaled potential is legitimately non-coercive near 0
-        scaled = solve_ergodic_hjb(sub, model, pot, opts)
-    return scaled, sub
+    return [(r, solve_one(r)) for r in radii]

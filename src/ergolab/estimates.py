@@ -380,12 +380,11 @@ def check_drift_boundary_perturbation(
 
 
 def fit_hamiltonian_growth(
-    model: HamiltonianModel, seed: int = 0, n_samples: int = 4096
+    model: HamiltonianModel, dim: int, seed: int = 0, n_samples: int = 4096
 ) -> dict:
     """Fitted finite constants for the two-sided power growth of H, D_p H and
-    the conjugate's gradient over a random sample cloud."""
+    the conjugate's gradient over a random sample cloud in dimension dim."""
     rng = np.random.default_rng(seed)
-    dim = 2
     x = rng.uniform(-5, 5, size=(n_samples, dim))
     p = rng.standard_normal((n_samples, dim)) * rng.uniform(0.1, 8, (n_samples, 1))
     xi = rng.standard_normal((n_samples, dim)) * rng.uniform(0.1, 8, (n_samples, 1))

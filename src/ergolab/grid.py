@@ -149,62 +149,41 @@ def check_vector_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     return values
 
 
-def _as_mesh(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return values.reshape(grid.shape)
+def _axis_slab(grid: Grid, axis: int, part: slice) -> tuple[slice, ...]:
+    """Mesh index of the core nodes, taken along ``axis`` as ``part``."""
+    return tuple(part if k == axis else slice(1, -1) for k in range(grid.dim))
+
+
+def _differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis backward and forward differences (D_minus, D_plus) on the core.
+
+    Both have mesh shape grid.shape + (d,) and are zero on the boundary
+    layer.  Every stencil in this module is built from them.
+    """
+    values = check_scalar_field(values, grid)
+    u = values.reshape(grid.shape)
+    h = grid.spacing
+    dminus = np.zeros(grid.shape + (grid.dim,))
+    dplus = np.zeros(grid.shape + (grid.dim,))
+    core = (slice(1, -1),) * grid.dim
+    for a in range(grid.dim):
+        dminus[core + (a,)] = (u[core] - u[_axis_slab(grid, a, slice(0, -2))]) / h
+        dplus[core + (a,)] = (u[_axis_slab(grid, a, slice(2, None))] - u[core]) / h
+    return dminus, dplus
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered second-difference Laplacian; zero on the boundary layer."""
-    values = check_scalar_field(values, grid)
-    u = _as_mesh(values, grid)
-    h2 = grid.spacing**2
-    out = np.zeros_like(u)
-    core = (slice(1, -1),) * grid.dim
-    for a in range(grid.dim):
-        lo = tuple(slice(0, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(1, -1) for k in range(grid.dim))
-        out[core] += (u[hi] - 2.0 * u[core] + u[lo]) / h2
-    return out.ravel()
+    """Centered second-difference Laplacian, sum_a (D+_a - D-_a) / h; zero on
+    the boundary layer."""
+    dminus, dplus = _differences(values, grid)
+    return ((dplus - dminus).sum(axis=-1) / grid.spacing).ravel()
 
 
 def gradient_central(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered first differences on interior nodes; zero on the boundary."""
-    values = check_scalar_field(values, grid)
-    u = _as_mesh(values, grid)
-    h = grid.spacing
-    out = np.zeros((grid.num_nodes, grid.dim))
-    core = (slice(1, -1),) * grid.dim
-    grad = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        lo = tuple(slice(0, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(1, -1) for k in range(grid.dim))
-        grad[...] = 0.0
-        grad[core] = (u[hi] - u[lo]) / (2.0 * h)
-        out[:, a] = grad.ravel()
-    return out
-
-
-def advect_upwind(values: np.ndarray, drift: np.ndarray, grid: Grid) -> np.ndarray:
-    """drift . Du with first-order upwind differences selected per axis.
-
-    Positive drift components use the backward difference, negative ones the
-    forward difference, so the assembled operator matrix is monotone.  Zero
-    on the boundary layer.
-    """
-    values = check_scalar_field(values, grid)
-    drift = check_vector_field(drift, grid)
-    u = _as_mesh(values, grid)
-    h = grid.spacing
-    out = np.zeros(grid.shape)
-    core = (slice(1, -1),) * grid.dim
-    for a in range(grid.dim):
-        lo = tuple(slice(0, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(1, -1) for k in range(grid.dim))
-        w = drift[:, a].reshape(grid.shape)[core]
-        back = (u[core] - u[lo]) / h
-        fwd = (u[hi] - u[core]) / h
-        out[core] += np.where(w > 0, back, np.where(w < 0, fwd, 0.0)) * w
-    return out.ravel()
+    """Centered first differences (D- + D+) / 2 on interior nodes; zero on the
+    boundary."""
+    dminus, dplus = _differences(values, grid)
+    return (0.5 * (dminus + dplus)).reshape(grid.num_nodes, grid.dim)
 
 
 def gradient_inward_fallback(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -212,27 +191,11 @@ def gradient_inward_fallback(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     At interior nodes adjacent to the boundary the centered stencil would
     reference a boundary value, so the difference toward the interior is used
-    instead.  Zero on the boundary layer.
+    instead.  This is the mean of the ``one_sided_differences`` pair.  Zero on
+    the boundary layer.
     """
-    values = check_scalar_field(values, grid)
-    u = _as_mesh(values, grid)
-    h = grid.spacing
-    out = np.zeros((grid.num_nodes, grid.dim))
-    core = (slice(1, -1),) * grid.dim
-    for a in range(grid.dim):
-        lo = tuple(slice(0, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(1, -1) for k in range(grid.dim))
-        grad = np.zeros(grid.shape)
-        grad[core] = (u[hi] - u[lo]) / (2.0 * h)
-        # wall-adjacent rows along this axis: replace by inward one-sided
-        first = tuple(slice(1, 2) if k == a else slice(1, -1) for k in range(grid.dim))
-        second = tuple(slice(2, 3) if k == a else slice(1, -1) for k in range(grid.dim))
-        grad[first] = (u[second] - u[first]) / h
-        last = tuple(slice(-2, -1) if k == a else slice(1, -1) for k in range(grid.dim))
-        prev = tuple(slice(-3, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        grad[last] = (u[last] - u[prev]) / h
-        out[:, a] = grad.ravel()
-    return out
+    dminus, dplus = one_sided_differences(values, grid)
+    return 0.5 * (dminus + dplus)
 
 
 def one_sided_differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -245,26 +208,16 @@ def one_sided_differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, n
     sum_a w_a * (D_minus if w_a > 0 else D_plus) reproduces the assembled
     advection row exactly.
     """
-    values = check_scalar_field(values, grid)
-    u = _as_mesh(values, grid)
-    h = grid.spacing
-    dminus = np.zeros((grid.num_nodes, grid.dim))
-    dplus = np.zeros((grid.num_nodes, grid.dim))
-    core = (slice(1, -1),) * grid.dim
+    dminus, dplus = _differences(values, grid)
     for a in range(grid.dim):
-        lo = tuple(slice(0, -2) if k == a else slice(1, -1) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(1, -1) for k in range(grid.dim))
-        back = np.zeros(grid.shape)
-        fwd = np.zeros(grid.shape)
-        back[core] = (u[core] - u[lo]) / h
-        fwd[core] = (u[hi] - u[core]) / h
-        first = tuple(slice(1, 2) if k == a else slice(1, -1) for k in range(grid.dim))
-        last = tuple(slice(-2, -1) if k == a else slice(1, -1) for k in range(grid.dim))
-        back[first] = fwd[first]
-        fwd[last] = back[last]
-        dminus[:, a] = back.ravel()
-        dplus[:, a] = fwd.ravel()
-    return dminus, dplus
+        first = _axis_slab(grid, a, slice(1, 2)) + (a,)
+        last = _axis_slab(grid, a, slice(-2, -1)) + (a,)
+        dminus[first] = dplus[first]
+        dplus[last] = dminus[last]
+    return (
+        dminus.reshape(grid.num_nodes, grid.dim),
+        dplus.reshape(grid.num_nodes, grid.dim),
+    )
 
 
 def fill_boundary_nearest(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -139,10 +139,10 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
 
     Solves by column generation (see the module docstring).  Returns the
     optimal measure and its objective value, after verifying the primal
-    feasibility and complementary-slackness certificates on the full
-    program.  ``measure.info["stats"]`` holds the solve's deterministic
-    counters: full and final active column counts, pricing rounds, total
-    HiGHS iterations, and the last master's status and message.
+    feasibility, complementary-slackness and dual-feasibility certificates
+    on the full program.  ``measure.info["stats"]`` holds the solve's
+    deterministic counters: full and final active column counts, pricing
+    rounds, total HiGHS iterations, and the last master's status and message.
     """
     N, K = problem.grid.num_nodes, problem.num_atoms
     columns = problem.a_eq.tocsc()
@@ -180,6 +180,11 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     comp = np.abs(mu * reduced).max()
     if comp > COMPLEMENTARITY_TOL:
         raise LPSolveError(f"complementary slackness residual {comp:.3e} > 1e-8")
+    # columns with mass are bounded by complementarity; their reduced costs
+    # only carry the master's dual noise, so only the mass-free ones are gated
+    dual = reduced[mu == 0].min()
+    if dual < -PRICING_TOL:
+        raise LPSolveError(f"dual feasibility {dual:.3e} < -1e-9")
 
     weights = sparse.csr_matrix(mu.reshape(N, K))
     measure = GridMeasure(

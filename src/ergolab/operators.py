@@ -16,12 +16,17 @@ Closures at the one-node boundary layer:
 * ``dirichlet``: full centered/upwind stencils; legs hitting the boundary
   multiply a pinned value M and are returned as a right-hand-side
   contribution.
+
+``factor_bordered`` factors the one system [[A, 1], [e_origin^T, 0]] that
+policy evaluation solves for (u, lambda) and whose transpose gives the
+stationary density: ``A 1 = 0`` forces the border multiplier there to 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from .grid import Grid
 
@@ -69,48 +74,32 @@ def assemble_generator(
     diag = np.zeros(nint)
     rhs = np.zeros(nint)
 
-    neighbors = {
-        (a, s): grid.interior_neighbor(a, s) for a in range(grid.dim) for s in (-1, 1)
-    }
-
-    # diffusion
-    for a in range(grid.dim):
-        for s in (-1, 1):
-            nb = neighbors[(a, s)]
-            inn = nb >= 0
-            rows.append(ids[inn])
-            cols.append(nb[inn])
-            vals.append(np.full(int(inn.sum()), -inv_h2))
-            diag[inn] += inv_h2
-            if dirichlet:
-                out = ~inn
-                diag[out] += inv_h2
-                rhs[out] += dirichlet_value * inv_h2
-
-    # advection, upwinded by drift sign; s = -1 means backward difference
+    # one leg per (axis, side): diffusion always, advection on the upwind side
     for a in range(grid.dim):
         w = w_int[:, a]
-        upwind_side = np.where(w > 0, -1, 1)
-        active = w != 0
+        speed = np.abs(w) / h
+        upwind_side = np.where(w > 0, -1, 1)  # s = -1 means backward difference
+        neighbors = {s: grid.interior_neighbor(a, s) for s in (-1, 1)}
         for s in (-1, 1):
-            sel = active & (upwind_side == s)
-            nb = neighbors[(a, s)]
-            inn = sel & (nb >= 0)
+            nb = neighbors[s]
+            inn = nb >= 0
+            out = ~inn
+            coef = inv_h2 + np.where(upwind_side == s, speed, 0.0)
             rows.append(ids[inn])
             cols.append(nb[inn])
-            vals.append(-np.abs(w[inn]) / h)
-            diag[inn] += np.abs(w[inn]) / h
-            out = sel & (nb < 0)
+            vals.append(-coef[inn])
+            diag[inn] += coef[inn]
             if dirichlet:
-                diag[out] += np.abs(w[out]) / h
-                rhs[out] += np.abs(w[out]) / h * dirichlet_value
+                diag[out] += coef[out]
+                rhs[out] += coef[out] * dirichlet_value
             else:
-                # inward difference on the opposite side, sign-reversed legs
-                ob = neighbors[(a, -s)]
-                rows.append(ids[out])
-                cols.append(ob[out])
-                vals.append(np.abs(w[out]) / h)
-                diag[out] -= np.abs(w[out]) / h
+                # the diffusion leg is dropped; the advection leg becomes the
+                # inward difference on the opposite side, sign-reversed
+                wall = out & (upwind_side == s) & (w != 0)
+                rows.append(ids[wall])
+                cols.append(neighbors[-s][wall])
+                vals.append(speed[wall])
+                diag[wall] -= speed[wall]
 
     rows.append(ids)
     cols.append(ids)
@@ -122,6 +111,13 @@ def assemble_generator(
     return A.tocsr(), rhs
 
 
-def max_stable_drift(grid: Grid) -> float:
-    """Drift magnitude beyond which the inward wall closure loses monotonicity."""
-    return 1.0 / grid.spacing
+def factor_bordered(
+    grid: Grid, A: sparse.spmatrix
+) -> tuple[sparse.csc_matrix, SuperLU]:
+    """The bordered system [[A, 1], [e_origin^T, 0]] and its SuperLU factor
+    (COLAMD ordering); raises RuntimeError when the factor is singular."""
+    nint = grid.num_interior
+    origin = grid.interior_index[grid.origin_id]
+    norm_row = sparse.coo_matrix(([1.0], ([0], [origin])), shape=(1, nint))
+    system = sparse.bmat([[A, np.ones((nint, 1))], [norm_row, None]], format="csc")
+    return system, splu(system, permc_spec="COLAMD")

@@ -10,10 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .density import ReducibleChainError, average_cost, stationary_density
 from .eigensolver import (
-    ErgodicSolution,
     SingularEvaluationError,
     domain_exhaustion,
     pointwise_residual,
@@ -24,7 +23,7 @@ from .estimates import (
     check_potential_gradient_growth,
     fit_hamiltonian_growth,
 )
-from .grid import gradient_inward_fallback
+from .grid import build_grid, gradient_inward_fallback
 from .measure_lp import (
     LPSolveError,
     assemble_lp,
@@ -63,30 +62,6 @@ def _sim_params(config: RunConfig, dim: int) -> SimParams:
     )
 
 
-def _solution_summary(sol: ErgodicSolution) -> dict:
-    return {
-        "lambda": sol.lam,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "residual_sup": sol.residual_sup,
-        "lambda_history": sol.lambda_history,
-    }
-
-
-def _export_solution(out: Path, sol: ErgodicSolution, model, potential) -> None:
-    grid = sol.grid
-    write_field_csv(
-        out / "fields.csv",
-        grid,
-        {
-            "u": sol.u,
-            "du": gradient_inward_fallback(sol.u, grid),
-            "xi": sol.xi_u,
-            "residual": pointwise_residual(sol, model, potential),
-        },
-    )
-
-
 def _report_sim(rep) -> dict:
     return {
         "mean": rep.mean,
@@ -101,7 +76,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     """Execute one scenario, write its artifacts, and return the report.
 
     Exit code is 0 when all declared checks pass, 1 on a failed check,
-    3 on a numerical failure (partial report still written).
+    2 on a configuration error found only while running (such as a grid over
+    the node limit), 3 on a numerical failure; the partial report is written
+    in every case.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,9 +88,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     code = 0
     try:
         _dispatch(config, out, results, checks)
-    except NUMERICAL_ERRORS as exc:
+    except (ConfigError, *NUMERICAL_ERRORS) as exc:
         results["error"] = f"{type(exc).__name__}: {exc}"
-        code = 3
+        code = 2 if isinstance(exc, ConfigError) else 3
     if code == 0 and any(not c["passed"] for c in checks.values()):
         code = 1
     payload = {
@@ -141,7 +118,9 @@ def _check(checks: dict, name: str, passed: bool, value, tolerance) -> None:
 def _dispatch(config: RunConfig, out: Path, results: dict, checks: dict) -> None:
     scenario = config.scenario
     if scenario == "check":
-        _run_check(config, results, checks)
+        _audit_potential(
+            config.grid(), float(config["model"]["gamma"]), config.potential(), results, checks
+        )
         return
     if scenario == "exhaust":
         _run_exhaust(config, out, results, checks)
@@ -152,10 +131,19 @@ def _dispatch(config: RunConfig, out: Path, results: dict, checks: dict) -> None
     potential = config.potential()
     opts = config.solver_options()
     sol = solve_ergodic_hjb(grid, model, potential, opts)
-    results["solve"] = _solution_summary(sol)
+    results["solve"] = {
+        "lambda": sol.lam,
+        "iterations": sol.iterations,
+        "converged": sol.converged,
+        "residual_sup": sol.residual_sup,
+        "lambda_history": sol.lambda_history,
+    }
     _check(checks, "solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     if config["output"]["write_fields"]:
-        _export_solution(out, sol, model, potential)
+        du = gradient_inward_fallback(sol.u, grid)
+        residual = pointwise_residual(sol, model, potential)
+        fields = {"u": sol.u, "du": du, "xi": sol.xi_u, "residual": residual}
+        write_field_csv(out / "fields.csv", grid, fields)
     if scenario == "solve":
         return
 
@@ -288,19 +276,9 @@ def _dispatch(config: RunConfig, out: Path, results: dict, checks: dict) -> None
             return
 
     if scenario == "full_verify":
-        audit = check_potential_gradient_growth(potential, grid, model.gamma)
-        envelope = check_polynomial_envelope(potential, grid)
-        results["estimates"] = {
-            "potential_gradient_growth": vars(audit),
-            "polynomial_envelope": vars(envelope),
-            "growth_constants": fit_hamiltonian_growth(model, config.seed),
-        }
-        _check(
-            checks,
-            "potential_gradient_growth",
-            audit.passed,
-            audit.fitted_constant,
-            "bounded sweep",
+        _audit_potential(grid, model.gamma, potential, results, checks)
+        results["estimates"]["growth_constants"] = fit_hamiltonian_growth(
+            model, grid.dim, config.seed
         )
         sim = results.get("simulate", {})
         results["headline"] = {
@@ -312,10 +290,9 @@ def _dispatch(config: RunConfig, out: Path, results: dict, checks: dict) -> None
         }
 
 
-def _run_check(config: RunConfig, results: dict, checks: dict) -> None:
-    grid = config.grid()
-    potential = config.potential()
-    gamma = float(config["model"]["gamma"])
+def _audit_potential(grid, gamma: float, potential, results: dict, checks: dict) -> None:
+    """Growth and envelope audits of the potential, shared by the ``check``
+    scenario and ``full_verify``."""
     audit = check_potential_gradient_growth(potential, grid, gamma)
     envelope = check_polynomial_envelope(potential, grid)
     results["estimates"] = {
@@ -335,14 +312,15 @@ def _run_exhaust(config: RunConfig, out: Path, results: dict, checks: dict) -> N
     model = config.model()
     potential = config.potential()
     opts = config.solver_options(boundary_mode=config["exhaust"]["boundary_mode"])
-    seq = domain_exhaustion(
-        model,
-        potential,
-        config["exhaust"]["radii"],
-        config["grid"]["spacing"],
-        opts,
-        dim=int(config["grid"]["dim"]),
-    )
+    radii, spacing = config["exhaust"]["radii"], config["grid"]["spacing"]
+    dim = int(config["grid"]["dim"])
+    if radii[0] < 4 * spacing:
+        raise ConfigError("'exhaust.radii' must be >= 4 * grid.spacing")
+    try:  # the largest box must fit the node limit; checked before any solve
+        build_grid(dim, radii[-1], spacing)
+    except ValueError as exc:
+        raise ConfigError(f"'exhaust.radii': {exc}") from exc
+    seq = domain_exhaustion(model, potential, radii, spacing, opts, dim=dim)
     lams = [lam for _, lam in seq]
     diffs = [b - a for a, b in zip(lams, lams[1:])]
     results["exhaustion"] = {"sequence": seq, "successive_differences": diffs}

@@ -6,6 +6,7 @@ import pytest
 
 from ergolab.cli import main
 from ergolab.config import ConfigError, DEFAULTS, apply_override, parse_config
+from ergolab.estimates import fit_hamiltonian_growth
 from ergolab.runner import run_scenario
 
 
@@ -48,6 +49,29 @@ def test_structural_validation():
         parse_config('{"lp": {"xi_count": 40}}')
     with pytest.raises(ConfigError, match="radius"):
         parse_config('{"grid": {"radius": 0.1, "spacing": 0.05}}')
+
+
+def test_drift_vector_length_must_match_dim():
+    cfg = parse_config('{"model": {"kind": "drift_power", "drift_name": "constant"}}')
+    with pytest.raises(ConfigError, match="model.drift_vector"):
+        cfg.model()
+    with pytest.raises(ConfigError, match="model.drift_vector"):
+        apply_override(cfg, "model.drift_vector", "[0.3, 0.1]").model()
+    # the check does not depend on the order of the overrides
+    overrides = {"model.drift_vector": "[0.3, 0.1]", "grid.dim": "2"}
+    for order in (list(overrides), list(reversed(overrides))):
+        cfg2 = cfg
+        for key in order:
+            cfg2 = apply_override(cfg2, key, overrides[key])
+        assert cfg2.model().drift_at(np.zeros(2)).tolist() == [[0.3, 0.1]]
+
+
+def test_growth_constants_for_1d_constant_drift():
+    cfg = parse_config(
+        '{"model": {"kind": "drift_power", "drift_name": "constant", "drift_vector": [0.3]}}'
+    )
+    consts = fit_hamiltonian_growth(cfg.model(), cfg["grid"]["dim"], seed=3)
+    assert all(np.isfinite(v) and v >= 0 for v in consts.values())
 
 
 def test_apply_override():
@@ -94,6 +118,25 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text('{"model": {"gamma": 0.5}}')
     assert main(["solve", "--config", str(bad)]) == 2
     assert main(["solve", "--set", "grid.dim=3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "code, command, args",
+    [
+        (0, "solve", []),
+        (1, "solve", ["--set", "solver.max_policy_iters=1"]),
+        (2, "solve", ["--set", "model.kind=drift_power"]),  # no drift_name
+        (2, "solve", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # over MAX_NODES
+        (2, "exhaust", ["--set", "grid.dim=2", "--set", "exhaust.radii=[3.0,200.0]"]),  # ditto
+        (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
+        (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
+    ],
+)
+def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
+    assert main([command, "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == code
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["exit_code"] == code
+    assert ("error" in payload["results"]) == (code in (2, 3))
 
 
 def test_cli_check_scenario_flags_bad_potential(tmp_path):

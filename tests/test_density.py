@@ -4,8 +4,8 @@ from scipy import integrate
 
 from ergolab.density import (
     DensityField,
+    ReducibleChainError,
     average_cost,
-    exact_pair_measure,
     pair_measure,
     stationary_density,
 )
@@ -13,6 +13,7 @@ from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import build_grid
 from ergolab.hamiltonian import pure_power, quadratic_power_potential
 from ergolab.operators import assemble_generator
+from oracles import exact_pair_measure
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,15 @@ def test_average_cost_ou_quadratic():
     ctrl = _linear_control(g)
     rho = stationary_density(g, ctrl)
     assert average_cost(rho, ctrl, model, pot) == pytest.approx(2.0, abs=0.05)
+
+
+def test_inward_drift_beyond_one_over_h_rejected():
+    # |w| = 12 > 1/h = 10 breaks monotonicity: the null vector has a negative
+    # entry (min -0.545), which the positivity check must catch
+    g = build_grid(1, 1.0, 0.1)
+    ctrl = -12.0 * np.sign(g.coords)
+    with pytest.raises(ReducibleChainError, match="not positive"):
+        stationary_density(g, ctrl)
 
 
 def test_exact_pair_measure_feasible(manufactured_1d):

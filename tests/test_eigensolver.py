@@ -11,7 +11,6 @@ from ergolab.eigensolver import (
     policy_evaluation,
     policy_improvement,
     solve_ergodic_hjb,
-    solve_scaled_instance,
 )
 from ergolab.grid import build_grid
 from ergolab.hamiltonian import (
@@ -20,6 +19,24 @@ from ergolab.hamiltonian import (
     quadratic_power_potential,
     tabulated_potential,
 )
+
+
+def solve_scaled_instance(solution, model, potential, scale, opts=SolverOptions()):
+    """Solve the zoomed-in instance used by the rescaling consistency check.
+
+    Builds the unit-scaled grid of radius R/scale and spacing h/scale, with
+    potential scale^(g*) (f(scale*y) - lambda), whose solution should match
+    scale^((2-gamma)/(gamma-1)) u(scale*y) up to a constant and O(h).
+    """
+    grid = solution.grid
+    sub = build_grid(grid.dim, grid.radius / scale, grid.spacing / scale)
+    fvals = potential.values(sub.coords * scale)
+    f_scaled = scale**model.gamma_star * (fvals - solution.lam)
+    pot = tabulated_potential(sub, f_scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scaled potential is legitimately non-coercive near 0
+        scaled = solve_ergodic_hjb(sub, model, pot, opts)
+    return scaled, sub
 
 
 @pytest.fixture(scope="module")

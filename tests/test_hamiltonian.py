@@ -124,7 +124,7 @@ def test_numerical_legendre_matches_hamiltonian():
 
 def test_growth_constants_finite():
     for m in (pure_power(1.5), drift_power(1.5, lambda x: np.cos(x), np.sqrt(2.0))):
-        consts = fit_hamiltonian_growth(m, seed=3)
+        consts = fit_hamiltonian_growth(m, 2, seed=3)
         assert all(np.isfinite(v) and v >= 0 for v in consts.values())
 
 

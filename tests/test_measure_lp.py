@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ergolab.density import GridMeasure, exact_pair_measure, stationary_density
+from ergolab import measure_lp
+from ergolab.density import GridMeasure, stationary_density
 from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import Grid, build_grid
 from ergolab.hamiltonian import (
@@ -13,6 +14,7 @@ from ergolab.hamiltonian import (
 )
 from ergolab.measure_lp import (
     LPProblem,
+    LPSolveError,
     assemble_lp,
     barycenter_control,
     excess_cost_identity,
@@ -22,6 +24,7 @@ from ergolab.measure_lp import (
     solve_lp,
     uniform_xi_atoms,
 )
+from oracles import exact_pair_measure
 
 
 def full_lp_value(problem: LPProblem) -> float:
@@ -127,6 +130,42 @@ def test_column_generation_matches_full_lp_2d():
     assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
     assert measure.info["dual_feasibility_min"] >= -1e-9
     assert measure.info["stats"]["pricing_rounds"] >= 2
+
+
+def test_dual_certificate_enforced(lp_instance, monkeypatch):
+    # a master that overprices its heaviest column leaves that column active
+    # but without mass, where the full program prices it below zero
+    problem = lp_instance[5]
+    real_linprog = measure_lp.linprog
+
+    def overpriced(c, **kwargs):
+        heaviest = real_linprog(c, **kwargs).x.argmax()
+        c = c.copy()
+        c[heaviest] += 1.0
+        return real_linprog(c, **kwargs)
+
+    monkeypatch.setattr(measure_lp, "linprog", overpriced)
+    with pytest.raises(LPSolveError, match="dual feasibility"):
+        solve_lp(problem)
+
+
+def test_dual_noise_on_columns_with_mass_accepted(lp_instance, monkeypatch):
+    # HiGHS's duals can price a column that carries mass slightly below zero
+    # (-1.1e-7 seen on a 3,721-node 2d program); complementarity bounds those
+    # columns, so only the mass-free ones may refuse the optimum
+    _, _, _, _, _, problem, measure, lam_bar = lp_instance
+    real_linprog = measure_lp.linprog
+
+    def noisy_duals(c, A_eq, **kwargs):
+        res = real_linprog(c, A_eq=A_eq, **kwargs)
+        col = A_eq[:, res.x.argmax()].toarray().ravel()
+        res.eqlin.marginals += 1e-8 * col / (col @ col)
+        return res
+
+    monkeypatch.setattr(measure_lp, "linprog", noisy_duals)
+    noisy, value = solve_lp(problem)
+    assert noisy.info["dual_feasibility_min"] < -1e-9
+    assert value == pytest.approx(lam_bar, abs=1e-12)
 
 
 def test_objective_shift_moves_value_exactly(lp_instance):
