@@ -1,4 +1,5 @@
-"""Command-line entry point: one subcommand per scenario.
+"""Command-line entry point: one subcommand per scenario of
+``config.SCENARIOS``, whose help lists the scenario's stages.
 
     ergolab <scenario> [--config PATH] [--out-dir PATH] [--seed N]
                        [--set key=value ...]
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import SCENARIOS, ConfigError, RunConfig, apply_override, parse_config
+from .config import SCENARIOS, ConfigError, RunConfig, parse_config
 from .runner import run_scenario
 
 
@@ -25,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "measures, occupation-measure program, Monte Carlo verification.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
+    for name, stages in SCENARIOS.items():
+        p = sub.add_parser(name, help="stages: " + " → ".join(stages))
         p.add_argument("--config", type=Path, help="JSON configuration file")
         p.add_argument("--out-dir", type=Path, default=None, help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
@@ -42,20 +43,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    if args.config is not None:
-        text = Path(args.config).read_text()
-        config = parse_config(text)
-    else:
-        config = parse_config("{}")
-    config = apply_override(config, "scenario", json.dumps(args.scenario))
+    text = Path(args.config).read_text() if args.config is not None else "{}"
+    overrides = [("scenario", json.dumps(args.scenario))]
     if args.seed is not None:
-        config = apply_override(config, "seed", str(args.seed))
+        overrides.append(("seed", str(args.seed)))
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        config = apply_override(config, key, value)
-    return config
+        overrides.append((key, value))
+    return parse_config(text, overrides)
 
 
 def main(argv=None) -> int:

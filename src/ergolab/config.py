@@ -26,17 +26,21 @@ from .hamiltonian import (
     pure_power,
     quadratic_power_potential,
 )
+from .simulate import SimParams
 
-SCENARIOS = (
-    "solve",
-    "exhaust",
-    "lp",
-    "fokker_planck",
-    "simulate",
-    "compare",
-    "check",
-    "full_verify",
-)
+# scenario -> the names of its stages, run in this order by ``runner.STAGES``
+SCENARIOS = {
+    "solve": ("solve",),
+    "exhaust": ("exhaust",),
+    "lp": ("solve", "lp"),
+    "fokker_planck": ("solve", "density"),
+    "simulate": ("solve", "simulate"),
+    "compare": ("solve", "compare"),
+    "check": ("audit",),
+    "full_verify": (
+        "solve", "density", "lp", "sweep", "simulate", "compare", "audit", "headline"
+    ),
+}
 
 DEFAULTS: dict[str, Any] = {
     "scenario": "solve",
@@ -120,8 +124,12 @@ def _require_number(cfg: dict, path: str, low=None, high=None, message=None):
 
 
 def _validate(cfg: dict) -> dict:
-    if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(f"'scenario' must be one of {SCENARIOS}, got {cfg['scenario']!r}")
+    scenario = cfg["scenario"]
+    if not (isinstance(scenario, str) and scenario in SCENARIOS):
+        raise ConfigError(f"'scenario' must be one of {tuple(SCENARIOS)}, got {scenario!r}")
+    seed = cfg["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     dim = cfg["grid"]["dim"]
     if dim not in (1, 2):
         raise ConfigError(
@@ -139,12 +147,16 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"'potential.family' unknown: {fam!r}")
     if fam == "power_beta":
         _require_number(cfg, "potential.beta", low=0.0)
-    mode = cfg["solver"]["boundary_mode"]
-    if mode not in ("state_constraint", "dirichlet_big"):
-        raise ConfigError(f"'solver.boundary_mode' unknown: {mode!r}")
-    if cfg["sde"]["burn_in"] is not None:
-        if cfg["sde"]["burn_in"] >= cfg["sde"]["horizon"]:
-            raise ConfigError("'sde.burn_in' must be below 'sde.horizon'")
+    config = RunConfig(cfg)
+    for section, build in (
+        ("solver", config.solver_options),
+        ("exhaust", lambda: config.solver_options(cfg["exhaust"]["boundary_mode"])),
+        ("sde", config.sim_params),
+    ):
+        try:  # the constructors hold the range checks
+            build()
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{section!r}: {exc}") from exc
     radii = cfg["exhaust"]["radii"]
     if not (isinstance(radii, list) and len(radii) >= 1):
         raise ConfigError("'exhaust.radii' must be a non-empty list")
@@ -153,6 +165,9 @@ def _validate(cfg: dict) -> dict:
     count = cfg["lp"]["xi_count"]
     if not isinstance(count, int) or count < 3 or count % 2 == 0:
         raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
+    mults = cfg["compare"]["multipliers"]
+    if not (isinstance(mults, list) and mults):
+        raise ConfigError("'compare.multipliers' must be a non-empty list")
     return cfg
 
 
@@ -221,9 +236,28 @@ class RunConfig:
             control_tolerance=float(s["control_tolerance"]),
         )
 
+    def sim_params(self) -> SimParams:
+        s, dim = self.raw["sde"], self.raw["grid"]["dim"]
+        x0 = tuple(map(float, s["x0"])) if s["x0"] is not None else (0.0,) * dim
+        if len(x0) != dim:
+            raise ValueError(f"x0 must list grid.dim = {dim} coordinates, got {len(x0)}")
+        burn = s["burn_in"] if s["burn_in"] is not None else s["horizon"] / 10.0
+        return SimParams(
+            horizon=float(s["horizon"]),
+            timestep=float(s["timestep"]),
+            n_paths=int(s["n_paths"]),
+            seed=self.seed,
+            x0=x0,
+            burn_in=float(burn),
+            safety_factor=float(s["safety_factor"]),
+            workers=int(s["workers"]),
+        )
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document, applying defaults."""
+
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Parse a JSON configuration document, apply defaults, then the dotted
+    ``(key, value)`` overrides in order, and validate the result once, so a
+    check that ties two keys does not depend on the order of the overrides."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -231,13 +265,21 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
     merged = _merge(DEFAULTS, data, "")
+    for dotted, value in overrides:
+        _set_path(merged, dotted, value)
     return RunConfig(_validate(merged))
 
 
 def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:
-    """Apply one --set key=value override with a dotted path; values are
-    parsed as JSON when possible, else kept as strings."""
+    """Apply one --set key=value override with a dotted path and validate."""
     node = copy.deepcopy(config.raw)
+    _set_path(node, dotted, value)
+    return RunConfig(_validate(node))
+
+
+def _set_path(node: dict, dotted: str, value: str) -> None:
+    """Set an existing dotted key; the value is parsed as JSON when possible,
+    else kept as a string."""
     parts = dotted.split(".")
     ref = node
     for p in parts[:-1]:
@@ -250,4 +292,3 @@ def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:
         ref[parts[-1]] = json.loads(value)
     except json.JSONDecodeError:
         ref[parts[-1]] = value
-    return RunConfig(_validate(node))

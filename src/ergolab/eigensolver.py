@@ -62,12 +62,14 @@ class SolverOptions:
     control_tolerance: float = 1e-6
 
     def __post_init__(self):
+        if self.max_policy_iters < 1:
+            raise ValueError("max_policy_iters must be at least 1")
         if self.eval_tolerance <= 0 or self.lambda_tolerance <= 0:
             raise ValueError("tolerances must be positive")
         if self.boundary_mode not in (STATE_CONSTRAINT, DIRICHLET_BIG):
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
         if self.boundary_mode == DIRICHLET_BIG and not self.dirichlet_value > 0:
-            raise ValueError("dirichlet_big requires a positive pinned value")
+            raise ValueError("dirichlet_big requires a positive dirichlet_value")
 
 
 @dataclass

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ergolab.cli import main
-from ergolab.config import ConfigError, DEFAULTS, apply_override, parse_config
+from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
 from ergolab.estimates import fit_hamiltonian_growth
-from ergolab.runner import run_scenario
+from ergolab.runner import STAGES, run_scenario
 
 
 def test_minimal_config_gets_defaults():
@@ -130,6 +130,7 @@ def test_cli_config_error_exit_code(tmp_path):
         (2, "exhaust", ["--set", "grid.dim=2", "--set", "exhaust.radii=[3.0,200.0]"]),  # ditto
         (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
         (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
+        (2, "check", ["--set", "model.kind=drift_power"]),  # check builds the model too
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
@@ -137,6 +138,37 @@ def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["exit_code"] == code
     assert ("error" in payload["results"]) == (code in (2, 3))
+
+
+def test_tied_keys_independent_of_override_order(tmp_path):
+    # grid.radius >= 4 * grid.spacing holds only after both overrides
+    overrides = ["--set", "grid.spacing=1.5", "--set", "grid.radius=8.0"]
+    for order in (overrides, overrides[2:] + overrides[:2]):
+        assert main(["solve", "--out-dir", str(tmp_path)] + order) == 0
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("solve", "solver.max_policy_iters=0", "'solver'"),
+        ("simulate", "sde.timestep=0", "'sde'"),
+        ("simulate", "sde.n_paths=0", "'sde'"),
+        ("simulate", "sde.horizon=0.05", "'sde'"),  # under 100 timesteps
+        ("simulate", "sde.x0=[0.0,0.0]", "'sde'"),  # 1d grid
+        ("compare", "compare.multipliers=[]", "'compare.multipliers'"),
+        ("exhaust", "exhaust.boundary_mode=reflecting", "'exhaust'"),
+        ("simulate", "seed=-3", "'seed'"),
+    ],
+)
+def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
+    assert main([command, "--out-dir", str(tmp_path), "--set", override]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_every_stage_in_the_table():
+    named = {stage for stages in SCENARIOS.values() for stage in stages}
+    assert named == set(STAGES)
 
 
 def test_cli_check_scenario_flags_bad_potential(tmp_path):
@@ -202,6 +234,7 @@ def test_full_verify_pipeline(tmp_path, capsys):
     )
     for name in ("measure.csv", "density.csv", "paths.csv", "fields.csv"):
         assert (tmp_path / name).exists()
+    assert set(payload["timing"]["stages"]) == set(SCENARIOS["full_verify"])
 
 
 def test_full_verify_deterministic(tmp_path):
@@ -233,6 +266,7 @@ def test_standalone_scenarios(tmp_path, scenario):
     assert code == 0, payload["checks"]
     key = {"lp": "lp", "simulate": "simulate", "compare": "compare"}[scenario]
     assert key in payload["results"]
+    assert set(payload["timing"]["stages"]) == set(SCENARIOS[scenario])
     if scenario == "lp":
         stats = payload["results"]["lp"]["stats"]
         assert stats["columns"] == 81 * 21

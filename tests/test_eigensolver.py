@@ -238,3 +238,5 @@ def test_solver_options_validation():
         SolverOptions(boundary_mode="reflecting")
     with pytest.raises(ValueError):
         SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=-1.0)
+    with pytest.raises(ValueError, match="max_policy_iters"):
+        SolverOptions(max_policy_iters=0)
