@@ -162,6 +162,8 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("'exhaust.radii' must be a non-empty list")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("'exhaust.radii' must be strictly increasing")
+    if cfg["lp"]["xi_bound"] is not None:
+        _require_number(cfg, "lp.xi_bound", low=0.0)
     count = cfg["lp"]["xi_count"]
     if not isinstance(count, int) or count < 3 or count % 2 == 0:
         raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
@@ -245,12 +247,12 @@ class RunConfig:
         return SimParams(
             horizon=float(s["horizon"]),
             timestep=float(s["timestep"]),
-            n_paths=int(s["n_paths"]),
+            n_paths=s["n_paths"],
             seed=self.seed,
             x0=x0,
             burn_in=float(burn),
             safety_factor=float(s["safety_factor"]),
-            workers=int(s["workers"]),
+            workers=s["workers"],
         )
 
 
@@ -278,16 +280,18 @@ def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:
 
 
 def _set_path(node: dict, dotted: str, value: str) -> None:
-    """Set an existing dotted key; the value is parsed as JSON when possible,
-    else kept as a string."""
+    """Set an existing dotted key that is not a whole section; the value is
+    parsed as JSON when possible, else kept as a string."""
     parts = dotted.split(".")
-    ref = node
+    ref, default = node, DEFAULTS
     for p in parts[:-1]:
-        if not isinstance(ref, dict) or p not in ref:
+        if not (isinstance(default, dict) and p in default):
             raise ConfigError(f"unknown override path {dotted!r}")
-        ref = ref[p]
-    if not isinstance(ref, dict) or parts[-1] not in ref:
+        ref, default = ref[p], default[p]
+    if not (isinstance(default, dict) and parts[-1] in default):
         raise ConfigError(f"unknown override path {dotted!r}")
+    if isinstance(default[parts[-1]], dict):
+        raise ConfigError(f"{dotted!r} is a section; set its keys one at a time")
     try:
         ref[parts[-1]] = json.loads(value)
     except json.JSONDecodeError:

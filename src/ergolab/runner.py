@@ -126,6 +126,11 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
         code = 2 if isinstance(exc, ConfigError) else 3
     if code == 0 and any(not c["passed"] for c in run.checks.values()):
         code = 1
+    throughput = {}  # Monte Carlo path-steps per second of each stage that ran paths
+    for name, seconds in run.seconds.items():
+        path_steps = run.results.get(name, {}).get("stats", {}).get("path_steps")
+        if path_steps:
+            throughput[name] = path_steps / seconds
     payload = {
         "version": __version__,
         "scenario": config.scenario,
@@ -133,7 +138,11 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
         "config": config.raw,
         "results": run.results,
         "checks": run.checks,
-        "timing": {"wall_seconds": time.time() - t_start, "stages": run.seconds},
+        "timing": {
+            "wall_seconds": time.time() - t_start,
+            "stages": run.seconds,
+            "path_steps_per_s": throughput,
+        },
         "exit_code": code,
     }
     write_json(out / "summary.json", payload)
@@ -225,7 +234,10 @@ def _sweep(run: _Run) -> None:
 def _simulate(run: _Run) -> None:
     params = run.config.sim_params()
     rep = simulate_average(run.grid, run.sol.xi_u, run.model, run.potential, params, "xi_u")
-    run.results["simulate"] = _report_sim(rep)
+    run.results["simulate"] = {
+        **_report_sim(rep),
+        "stats": {"path_steps": params.n_paths * params.n_steps},
+    }
     write_csv(
         run.out / "paths.csv",
         ["path", "time_average", "admissibility_integral", "diverged"],
@@ -248,6 +260,7 @@ def _compare(run: _Run) -> None:
         "order": comp.order,
         "reports": {k: _report_sim(r) for k, r in comp.reports.items()},
         "pathwise_reference_first": comp.pathwise_dominates(named[0][0]),
+        "stats": {"path_steps": len(named) * params.n_paths * params.n_steps},
     }
     first = comp.order[0] == named[0][0]
     run.check("optimal_control_ranks_first", first, comp.order, "xi_u first")

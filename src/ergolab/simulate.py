@@ -3,7 +3,9 @@
 Paths follow dX = -xi(X) dt + sqrt(2) dW by Euler-Maruyama.  Every path owns
 an RNG stream spawned deterministically from (seed, path index), increments
 are consumed in fixed blocks, and reductions run in path order, so reports
-are bitwise reproducible for any worker count or chunking.
+are bitwise reproducible for any worker count or chunking.  Path p draws the
+same increments under every control, so `compare_controls` ranks its
+controls on common random numbers.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ class SimParams:
             raise ValueError("timestep must be positive")
         if self.horizon < 100 * self.timestep:
             raise ValueError("horizon must be at least 100 timesteps")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        for key in ("n_paths", "workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not self.safety_factor > 0:
+            raise ValueError("safety_factor must be positive")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
 
@@ -73,56 +79,39 @@ class ErgodicAverageReport:
         return float(self.path_averages[ok].std(ddof=1) / np.sqrt(n))
 
 
-class _ControlInterp:
-    """Multilinear interpolation of a grid control field, nearest node outside."""
-
-    def __init__(self, grid: Grid, control: np.ndarray):
-        control = check_vector_field(control, grid)
-        filled = control.copy()
-        for a in range(grid.dim):
-            filled[:, a] = fill_boundary_nearest(control[:, a], grid)
-        self.grid = grid
-        self.field = filled.reshape(grid.shape + (grid.dim,))
-        self.lo = -grid.half_width * grid.spacing
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        n = g.nodes_per_axis
-        t = (x - self.lo) / g.spacing  # fractional index per axis
-        outside = np.any((t < 0) | (t > n - 1), axis=1)
-        tc = np.clip(t, 0.0, n - 1)
-        i0 = np.minimum(tc.astype(np.int64), n - 2)
-        frac = tc - i0
-        if g.dim == 1:
-            a = i0[:, 0]
-            w = frac[:, 0:1]
-            out = (1 - w) * self.field[a] + w * self.field[a + 1]
-        else:
-            a, b = i0[:, 0], i0[:, 1]
-            wa, wb = frac[:, 0:1], frac[:, 1:2]
-            out = (
-                (1 - wa) * (1 - wb) * self.field[a, b]
-                + wa * (1 - wb) * self.field[a + 1, b]
-                + (1 - wa) * wb * self.field[a, b + 1]
-                + wa * wb * self.field[a + 1, b + 1]
-            )
-        if outside.any():
-            nearest = np.rint(tc[outside]).astype(np.int64)
-            if g.dim == 1:
-                out[outside] = self.field[nearest[:, 0]]
-            else:
-                out[outside] = self.field[nearest[:, 0], nearest[:, 1]]
-        return out
+def _bilinear(grid: Grid, field: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bilinear lookup of a 2d control field at the rows of ``x``, nearest
+    node outside the grid."""
+    n = grid.nodes_per_axis
+    t = (x + grid.half_width * grid.spacing) / grid.spacing  # fractional index
+    outside = ((t < 0) | (t > n - 1)).any(axis=1)
+    tc = np.clip(t, 0.0, n - 1)
+    i0 = np.minimum(tc.astype(np.int64), n - 2)
+    frac = tc - i0
+    idx = i0[:, 0] * n + i0[:, 1]
+    wa, wb = frac[:, 0:1], frac[:, 1:2]
+    out = (
+        (1 - wa) * (1 - wb) * field.take(idx, axis=0)
+        + wa * (1 - wb) * field.take(idx + n, axis=0)
+        + (1 - wa) * wb * field.take(idx + 1, axis=0)
+        + wa * wb * field.take(idx + n + 1, axis=0)
+    )
+    if outside.any():
+        nearest = np.rint(tc[outside]).astype(np.int64)
+        out[outside] = field[nearest[:, 0] * n + nearest[:, 1]]
+    return out
 
 
 def _run_paths(
     path_ids: np.ndarray,
-    interp: _ControlInterp,
+    grid: Grid,
+    field: np.ndarray,
     model: HamiltonianModel,
     potential: PotentialSpec,
     params: SimParams,
 ) -> dict:
-    grid = interp.grid
+    """Integrate paths ``path_ids`` under the boundary-filled control ``field``;
+    returns each per-path statistic keyed by its report field."""
     dt = params.timestep
     n_steps = params.n_steps
     burn_idx = int(round(params.burn_in / dt))
@@ -130,20 +119,16 @@ def _run_paths(
     quarter_idx = n_steps // 4
     box = params.safety_factor * grid.radius
 
-    P = path_ids.size
+    P, dim = path_ids.size, grid.dim
     streams = np.random.SeedSequence(params.seed).spawn(params.n_paths)
     gens = [np.random.Generator(np.random.PCG64(streams[i])) for i in path_ids]
 
     X = np.tile(np.asarray(params.x0, dtype=float), (P, 1))
-    if X.shape[1] != grid.dim:
+    if X.shape[1] != dim:
         raise ValueError("x0 dimension does not match the grid")
     alive = np.ones(P, dtype=bool)
-    all_alive = True
-    cost_sum = np.zeros(P)
-    half_sum = np.zeros(P)
-    adm_sum = np.zeros(P)
-    adm_q1 = np.zeros(P)
-    adm_q2 = np.zeros(P)
+    live = live_rows = True  # the rows updated: all of them until a path dies
+    cost_sum, half_sum, adm_sum, adm_q1, adm_q2 = np.zeros((5, P))
     scale = np.sqrt(2.0 * dt)
 
     # hoisted hot-loop closures; the generic module functions would spend the
@@ -151,59 +136,40 @@ def _run_paths(
     fval = potential.value_fn
     gs = model.gamma_star
     drift = model.drift if model.kind == "drift_power" else None
-    one_d = grid.dim == 1
-    if one_d:
-        axis = interp.grid.axis_coords
-        comp0 = interp.field[:, 0]
+    if dim == 1:  # np.interp written into a preallocated column of xi
+        xi = np.empty((P, 1))
+        xi_col, x_col, field_col = xi[:, 0], X[:, 0], field[:, 0]
+        axis = grid.axis_coords
 
-    k = 0
-    while k < n_steps:
+    for k in range(0, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - k)
-        dw = np.stack([g.standard_normal((b, grid.dim)) for g in gens]) * scale
+        dw = np.stack([g.standard_normal((b, dim)) for g in gens], axis=1) * scale
         for j in range(b):
             step = k + j
-            if one_d:
-                xi = np.interp(X[:, 0], axis, comp0)[:, None]
-                xin = np.abs(xi[:, 0])
+            if dim == 1:
+                xi_col[:] = np.interp(x_col, axis, field_col)
+                xin = np.abs(xi_col)
             else:
-                xi = interp(X)
+                xi = _bilinear(grid, field, X)
                 xin = np.sqrt(np.einsum("ij,ij->i", xi, xi))
             adm = xin**gs
-            if drift is None:
-                cost = fval(X) + adm / gs
-            else:
+            if drift is not None:  # the Lagrangian reads xi - b(X)
                 eta = xi - drift(X)
-                en = np.sqrt(np.einsum("ij,ij->i", eta, eta))
-                cost = fval(X) + en**gs / gs
-            if all_alive:
-                if step >= burn_idx:
-                    cost_sum += cost
-                if step >= half_idx:
-                    half_sum += cost
-                    adm_q2 += adm
-                elif step >= quarter_idx:
-                    adm_q1 += adm
-                adm_sum += adm
-                X += -xi * dt + dw[:, j]
-                # written so that a NaN coordinate fails the box test too
-                if not np.abs(X).max() <= box:
-                    alive &= np.abs(X).max(axis=1) <= box
-                    all_alive = bool(alive.all())
-            else:
-                live = alive
-                if step >= burn_idx:
-                    cost_sum[live] += cost[live]
-                if step >= half_idx:
-                    half_sum[live] += cost[live]
-                    adm_q2[live] += adm[live]
-                elif step >= quarter_idx:
-                    adm_q1[live] += adm[live]
-                adm_sum[live] += adm[live]
-                X[live] = X[live] - xi[live] * dt + dw[live, j]
-                escaped = live & ~(np.abs(X).max(axis=1) <= box)
-                if escaped.any():
-                    alive = alive & ~escaped
-        k += b
+                lag = np.sqrt(np.einsum("ij,ij->i", eta, eta)) ** gs
+            cost = fval(X) + (adm if drift is None else lag) / gs
+            if step >= burn_idx:
+                np.add(cost_sum, cost, out=cost_sum, where=live)
+            if step >= half_idx:
+                np.add(half_sum, cost, out=half_sum, where=live)
+                np.add(adm_q2, adm, out=adm_q2, where=live)
+            elif step >= quarter_idx:
+                np.add(adm_q1, adm, out=adm_q1, where=live)
+            np.add(adm_sum, adm, out=adm_sum, where=live)
+            np.add(X, -xi * dt + dw[j], out=X, where=live_rows)
+            # written so that a NaN coordinate fails the box test too
+            if not np.abs(X).max() <= box:
+                alive &= np.abs(X).max(axis=1) <= box
+                live, live_rows = alive, alive[:, None]  # dead paths stay frozen
 
     denom_main = (n_steps - burn_idx) * dt
     denom_half = (n_steps - half_idx) * dt
@@ -212,10 +178,10 @@ def _run_paths(
     q2 = adm_q2 / denom_half
     ratio = np.where(q1 > 0, q2 / np.where(q1 > 0, q1, 1.0), 1.0)
     return {
-        "averages": cost_sum * dt / denom_main,
-        "half": half_sum * dt / denom_half,
-        "adm": adm_sum * dt,
-        "adm_ratio": ratio,
+        "path_averages": cost_sum * dt / denom_main,
+        "half_averages": half_sum * dt / denom_half,
+        "admissibility": adm_sum * dt,
+        "admissibility_ratio": ratio,
         "diverged": ~alive,
     }
 
@@ -232,42 +198,21 @@ def simulate_average(
 
     The control field is extended to the boundary layer by its nearest
     interior value before interpolation.  Paths exiting the safety box are
-    flagged, frozen and excluded from the summary statistics.
+    flagged, frozen and excluded from the summary statistics.  The path ids
+    are split into ``params.workers`` chunks run on threads.
     """
-    interp = _ControlInterp(grid, control)
-    chunks = _split_paths(params.n_paths, params.workers)
+    field = fill_boundary_nearest(check_vector_field(control, grid), grid)
+    chunks = np.array_split(np.arange(params.n_paths), min(params.workers, params.n_paths))
+    run = lambda ids: _run_paths(ids, grid, field, model, potential, params)
     if len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda ids: _run_paths(ids, interp, model, potential, params),
-                    chunks,
-                )
-            )
+            parts = list(pool.map(run, chunks))
     else:
-        parts = [_run_paths(chunks[0], interp, model, potential, params)]
-
-    def collect(key: str) -> np.ndarray:
-        return np.concatenate([p[key] for p in parts])
-
-    return ErgodicAverageReport(
-        name=name,
-        path_averages=collect("averages"),
-        half_averages=collect("half"),
-        admissibility=collect("adm"),
-        admissibility_ratio=collect("adm_ratio"),
-        diverged=collect("diverged"),
-        params=params,
-    )
-
-
-def _split_paths(n_paths: int, workers: int) -> list[np.ndarray]:
-    ids = np.arange(n_paths)
-    if workers <= 1 or n_paths == 1:
-        return [ids]
-    return [chunk for chunk in np.array_split(ids, min(workers, n_paths))]
+        parts = [run(chunks[0])]
+    stats = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    return ErgodicAverageReport(name=name, params=params, **stats)
 
 
 @dataclass
@@ -301,9 +246,10 @@ def compare_controls(
     """Simulate several controls under common random numbers and rank them."""
     if len(controls) < 1:
         raise ValueError("need at least one control")
-    reports = {}
-    for cname, ctrl in controls:
-        reports[cname] = simulate_average(grid, ctrl, model, potential, params, cname)
+    reports = {
+        name: simulate_average(grid, ctrl, model, potential, params, name)
+        for name, ctrl in controls
+    }
     order = sorted(
         reports,
         key=lambda nm: (np.isnan(reports[nm].mean), reports[nm].mean),

@@ -158,6 +158,12 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("compare", "compare.multipliers=[]", "'compare.multipliers'"),
         ("exhaust", "exhaust.boundary_mode=reflecting", "'exhaust'"),
         ("simulate", "seed=-3", "'seed'"),
+        ("solve", 'grid={"dim":2}', "'grid'"),  # a whole section
+        ("simulate", "sde.n_paths=2.5", "'sde'"),
+        ("simulate", "sde.workers=2.7", "'sde'"),
+        ("simulate", "sde.workers=0", "'sde'"),
+        ("simulate", "sde.safety_factor=-1", "'sde'"),
+        ("lp", "lp.xi_bound=-1", "'lp.xi_bound'"),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
@@ -235,6 +241,12 @@ def test_full_verify_pipeline(tmp_path, capsys):
     for name in ("measure.csv", "density.csv", "paths.csv", "fields.csv"):
         assert (tmp_path / name).exists()
     assert set(payload["timing"]["stages"]) == set(SCENARIOS["full_verify"])
+    # controls x paths x steps: one control in simulate, three in compare
+    path_steps = {"simulate": 4 * 40_000, "compare": 3 * 4 * 40_000}
+    assert set(payload["timing"]["path_steps_per_s"]) == set(path_steps)
+    for stage, count in path_steps.items():
+        assert payload["results"][stage]["stats"] == {"path_steps": count}
+        assert payload["timing"]["path_steps_per_s"][stage] > 0
 
 
 def test_full_verify_deterministic(tmp_path):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ergolab.eigensolver import solve_ergodic_hjb
-from ergolab.grid import build_grid
-from ergolab.hamiltonian import pure_power, quadratic_power_potential
+from ergolab.grid import build_grid, fill_boundary_nearest
+from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.simulate import (
     SimParams,
-    _ControlInterp,
+    _bilinear,
     _run_paths,
     compare_controls,
     simulate_average,
@@ -66,12 +66,36 @@ def test_identical_controls_identical_statistics(instance):
     )
 
 
-def test_single_control_compare_equals_simulate(instance):
-    g, model, pot, sol = instance
-    p = SimParams(horizon=2.0, timestep=1e-3, n_paths=4, seed=12, burn_in=0.5)
-    comp = compare_controls(g, [("only", sol.xi_u)], model, pot, p)
-    direct = simulate_average(g, sol.xi_u, model, pot, p, "only")
-    assert np.array_equal(comp.reports["only"].path_averages, direct.path_averages)
+PATH_ARRAYS = (
+    "path_averages", "half_averages", "admissibility", "admissibility_ratio", "diverged"
+)
+
+
+def assert_same_paths(a, b):
+    for key in PATH_ARRAYS:
+        assert np.array_equal(getattr(a, key), getattr(b, key), equal_nan=key != "diverged"), key
+
+
+@pytest.fixture(scope="module")
+def instance_2d_drift():
+    g = build_grid(2, 2.0, 0.2)
+    model = drift_power(1.5, lambda x: 0.5 * np.sin(x), 0.5 * np.sqrt(2.0))
+    pot = quadratic_power_potential(1.5)
+    return g, model, pot, solve_ergodic_hjb(g, model, pot)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d_drift"])
+def test_single_control_compare_equals_simulate(request, case):
+    # every control's report in a comparison is its own run, bit for bit
+    fixture = {"1d": "instance", "2d_drift": "instance_2d_drift"}[case]
+    g, model, pot, sol = request.getfixturevalue(fixture)
+    p = SimParams(
+        horizon=2.0, timestep=1e-3, n_paths=4, seed=12, burn_in=0.5, x0=(0.0,) * g.dim
+    )
+    named = [("xi_u", sol.xi_u), ("half", 0.5 * sol.xi_u), ("double", 2.0 * sol.xi_u)]
+    comp = compare_controls(g, named, model, pot, p)
+    for name, ctrl in named:
+        assert_same_paths(comp.reports[name], simulate_average(g, ctrl, model, pot, p, name))
 
 
 def test_outward_drift_paths_flagged_divergent(instance):
@@ -91,11 +115,11 @@ def test_non_finite_paths_flagged_divergent(instance):
     # reaches there into NaN; NaN fails the box test, so such paths count as
     # divergent instead of poisoning the mean
     g, model, pot, sol = instance
-    interp = _ControlInterp(g, sol.xi_u)
-    interp.field[g.coords[:, 0] > 1.5] = np.nan
+    field = fill_boundary_nearest(sol.xi_u, g)
+    field[g.coords[:, 0] > 1.5] = np.nan
     p = SimParams(horizon=2.0, timestep=1e-3, n_paths=8, seed=5)
-    out = _run_paths(np.arange(p.n_paths), interp, model, pot, p)
-    nan_paths = ~np.isfinite(out["averages"])
+    out = _run_paths(np.arange(p.n_paths), g, field, model, pot, p)
+    nan_paths = ~np.isfinite(out["path_averages"])
     assert 0 < nan_paths.sum() < p.n_paths
     assert np.array_equal(out["diverged"], nan_paths)
 
@@ -127,16 +151,16 @@ def test_interpolation_inside_and_outside():
     ctrl = np.zeros((g.num_nodes, 2))
     ctrl[:, 0] = g.coords[:, 0] + 2 * g.coords[:, 1]
     ctrl[:, 1] = -g.coords[:, 0]
-    interp = _ControlInterp(g, ctrl)
+    field = fill_boundary_nearest(ctrl, g)
     pts = np.array([[0.3, -0.7], [1.1, 0.2], [-0.25, 0.25]])
-    vals = interp(pts)
+    vals = _bilinear(g, field, pts)
     # bilinear interpolation reproduces affine fields away from the filled
     # boundary layer
     assert np.allclose(vals[:, 0], pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
     assert np.allclose(vals[:, 1], -pts[:, 0], atol=1e-12)
     # outside the hull: nearest node value (here the filled corner, which
     # copies the nearest interior node at (1.5, 1.5))
-    far = interp(np.array([[5.0, 5.0]]))
+    far = _bilinear(g, field, np.array([[5.0, 5.0]]))
     corner = 1.5 + 2 * 1.5
     assert far[0, 0] == pytest.approx(corner)
     assert far[0, 1] == pytest.approx(-1.5)
