@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .eigensolver import SolverOptions
-from .grid import Grid, build_grid
+from .grid import Grid, axis_half_width, build_grid
 from .hamiltonian import (
     HamiltonianModel,
     PotentialSpec,
@@ -76,7 +76,6 @@ DEFAULTS: dict[str, Any] = {
         "burn_in": None,  # default: horizon / 10
         "x0": None,  # default: origin
         "workers": 1,
-        "safety_factor": 3.0,
     },
     "exhaust": {"radii": [3.0, 4.0, 5.0, 6.0], "boundary_mode": "dirichlet_big"},
     "compare": {"multipliers": [1.0, 0.5, 2.0]},
@@ -168,8 +167,13 @@ def _validate(cfg: dict) -> dict:
     if not isinstance(count, int) or count < 3 or count % 2 == 0:
         raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
     mults = cfg["compare"]["multipliers"]
-    if not (isinstance(mults, list) and mults):
-        raise ConfigError("'compare.multipliers' must be a non-empty list")
+    numbers = isinstance(mults, list) and all(type(m) in (int, float) for m in mults)
+    # multiplier m names its report f"{m:g}*xi_u", and 1.0 is the reference
+    if not (numbers and 1.0 in mults and len({f"{m:g}" for m in mults}) == len(mults)):
+        raise ConfigError(
+            "'compare.multipliers' must list distinct numbers (to the 6 digits of"
+            f" their report names), one of them 1.0, got {mults!r}"
+        )
     return cfg
 
 
@@ -241,8 +245,10 @@ class RunConfig:
     def sim_params(self) -> SimParams:
         s, dim = self.raw["sde"], self.raw["grid"]["dim"]
         x0 = tuple(map(float, s["x0"])) if s["x0"] is not None else (0.0,) * dim
-        if len(x0) != dim:
-            raise ValueError(f"x0 must list grid.dim = {dim} coordinates, got {len(x0)}")
+        g = self.raw["grid"]  # the grid's wall, without building its nodes
+        wall = Grid(dim, g["radius"], g["spacing"], axis_half_width(g["radius"], g["spacing"])).wall
+        if len(x0) != dim or not max(map(abs, x0)) <= wall:
+            raise ValueError(f"x0 must list grid.dim = {dim} coordinates within +-{wall:g}")
         burn = s["burn_in"] if s["burn_in"] is not None else s["horizon"] / 10.0
         return SimParams(
             horizon=float(s["horizon"]),
@@ -251,7 +257,6 @@ class RunConfig:
             seed=self.seed,
             x0=x0,
             burn_in=float(burn),
-            safety_factor=float(s["safety_factor"]),
             workers=s["workers"],
         )
 

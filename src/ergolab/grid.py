@@ -44,6 +44,10 @@ class Grid:
         return (self.nodes_per_axis,) * self.dim
 
     @cached_property
+    def wall(self) -> float:  # Monte Carlo paths reflect here: the outermost node
+        return self.half_width * self.spacing
+
+    @cached_property
     def coords(self) -> np.ndarray:
         """Node coordinates, shape (N, d), lexicographic node order."""
         mesh = np.meshgrid(*(self.axis_coords,) * self.dim, indexing="ij")
@@ -108,6 +112,11 @@ class Grid:
         return out
 
 
+def axis_half_width(radius: float, spacing: float) -> int:
+    """floor(R/h): the nodes on each side of the origin along an axis."""
+    return int(np.floor(radius / spacing + 1e-12))
+
+
 def build_grid(dim: int, radius: float, spacing: float) -> Grid:
     """Construct the symmetric lattice covering [-R, R]^d.
 
@@ -122,7 +131,7 @@ def build_grid(dim: int, radius: float, spacing: float) -> Grid:
         raise ValueError(
             f"need radius >= spacing > 0, got radius={radius}, spacing={spacing}"
         )
-    half = int(np.floor(radius / spacing + 1e-12))
+    half = axis_half_width(radius, spacing)
     n = 2 * half + 1
     if n**dim > MAX_NODES:
         raise ValueError(f"grid would have {n**dim} nodes (limit {MAX_NODES})")

@@ -256,13 +256,14 @@ def _compare(run: _Run) -> None:
     params = run.config.sim_params()
     named = [(f"{m:g}*xi_u", m * run.sol.xi_u) for m in run.config["compare"]["multipliers"]]
     comp = compare_controls(run.grid, named, run.model, run.potential, params)
+    reference = f"{1.0:g}*xi_u"  # config validation requires the multiplier 1.0
     run.results["compare"] = {
         "order": comp.order,
         "reports": {k: _report_sim(r) for k, r in comp.reports.items()},
-        "pathwise_reference_first": comp.pathwise_dominates(named[0][0]),
+        "pathwise_reference_first": comp.pathwise_dominates(reference),
         "stats": {"path_steps": len(named) * params.n_paths * params.n_steps},
     }
-    first = comp.order[0] == named[0][0]
+    first = comp.order[0] == reference
     run.check("optimal_control_ranks_first", first, comp.order, "xi_u first")
 
 

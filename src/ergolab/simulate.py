@@ -1,11 +1,11 @@
 """Monte Carlo verification of long-run average cost under Markov controls.
 
-Paths follow dX = -xi(X) dt + sqrt(2) dW by Euler-Maruyama.  Every path owns
-an RNG stream spawned deterministically from (seed, path index), increments
-are consumed in fixed blocks, and reductions run in path order, so reports
-are bitwise reproducible for any worker count or chunking.  Path p draws the
-same increments under every control, so `compare_controls` ranks its
-controls on common random numbers.
+Paths follow dX = -xi(X) dt + sqrt(2) dW by Euler-Maruyama, mirrored at the
+grid's wall: the reflected diffusion the grid routes solve on the box.  Each
+path owns an RNG stream spawned from (seed, path index), increments come in
+fixed blocks, and reductions run in path order, so reports are bitwise
+reproducible for any chunking.  Path p draws the same increments under every
+control, so `compare_controls` ranks its controls on common random numbers.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ class SimParams:
     seed: int
     x0: tuple = (0.0,)
     burn_in: float = 0.0
-    safety_factor: float = 3.0  # paths leaving the box of radius 3R are excluded
-    workers: int = 1
+    workers: int = 1  # path-id chunks, run one after another
 
     def __post_init__(self):
         if not self.timestep > 0:
@@ -41,8 +40,6 @@ class SimParams:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-        if not self.safety_factor > 0:
-            raise ValueError("safety_factor must be positive")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
 
@@ -58,7 +55,7 @@ class ErgodicAverageReport:
     half_averages: np.ndarray  # time-average of F over [T/2, T] per path
     admissibility: np.ndarray  # integral of |xi|^g* dt over [0, T] per path
     admissibility_ratio: np.ndarray  # successive half-window average ratio
-    diverged: np.ndarray  # per-path exclusion flags
+    diverged: np.ndarray  # per-path flags: the state turned non-finite
     params: SimParams
 
     @property
@@ -80,26 +77,20 @@ class ErgodicAverageReport:
 
 
 def _bilinear(grid: Grid, field: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of a 2d control field at the rows of ``x``, nearest
-    node outside the grid."""
+    """Bilinear lookup of a 2d control field at the rows of ``x`` (inside the wall)."""
     n = grid.nodes_per_axis
     t = (x + grid.half_width * grid.spacing) / grid.spacing  # fractional index
-    outside = ((t < 0) | (t > n - 1)).any(axis=1)
     tc = np.clip(t, 0.0, n - 1)
     i0 = np.minimum(tc.astype(np.int64), n - 2)
     frac = tc - i0
     idx = i0[:, 0] * n + i0[:, 1]
     wa, wb = frac[:, 0:1], frac[:, 1:2]
-    out = (
+    return (
         (1 - wa) * (1 - wb) * field.take(idx, axis=0)
         + wa * (1 - wb) * field.take(idx + n, axis=0)
         + (1 - wa) * wb * field.take(idx + 1, axis=0)
         + wa * wb * field.take(idx + n + 1, axis=0)
     )
-    if outside.any():
-        nearest = np.rint(tc[outside]).astype(np.int64)
-        out[outside] = field[nearest[:, 0] * n + nearest[:, 1]]
-    return out
 
 
 def _run_paths(
@@ -117,17 +108,15 @@ def _run_paths(
     burn_idx = int(round(params.burn_in / dt))
     half_idx = n_steps // 2
     quarter_idx = n_steps // 4
-    box = params.safety_factor * grid.radius
+    wall = grid.wall
 
     P, dim = path_ids.size, grid.dim
     streams = np.random.SeedSequence(params.seed).spawn(params.n_paths)
     gens = [np.random.Generator(np.random.PCG64(streams[i])) for i in path_ids]
 
     X = np.tile(np.asarray(params.x0, dtype=float), (P, 1))
-    if X.shape[1] != dim:
-        raise ValueError("x0 dimension does not match the grid")
-    alive = np.ones(P, dtype=bool)
-    live = live_rows = True  # the rows updated: all of them until a path dies
+    if X.shape[1] != dim or not np.abs(X).max() <= wall:
+        raise ValueError(f"x0 must list grid.dim coordinates within +-{wall:g}")
     cost_sum, half_sum, adm_sum, adm_q1, adm_q2 = np.zeros((5, P))
     scale = np.sqrt(2.0 * dt)
 
@@ -158,18 +147,19 @@ def _run_paths(
                 lag = np.sqrt(np.einsum("ij,ij->i", eta, eta)) ** gs
             cost = fval(X) + (adm if drift is None else lag) / gs
             if step >= burn_idx:
-                np.add(cost_sum, cost, out=cost_sum, where=live)
+                cost_sum += cost
             if step >= half_idx:
-                np.add(half_sum, cost, out=half_sum, where=live)
-                np.add(adm_q2, adm, out=adm_q2, where=live)
+                half_sum += cost
+                adm_q2 += adm
             elif step >= quarter_idx:
-                np.add(adm_q1, adm, out=adm_q1, where=live)
-            np.add(adm_sum, adm, out=adm_sum, where=live)
-            np.add(X, -xi * dt + dw[j], out=X, where=live_rows)
-            # written so that a NaN coordinate fails the box test too
-            if not np.abs(X).max() <= box:
-                alive &= np.abs(X).max(axis=1) <= box
-                live, live_rows = alive, alive[:, None]  # dead paths stay frozen
+                adm_q1 += adm
+            adm_sum += adm
+            X += -xi * dt + dw[j]
+            # mirror what passed the wall; written so that a NaN row, which
+            # stays NaN, does not hide another row from the test
+            if not np.abs(X).max() <= wall:
+                mirrored = np.clip(np.copysign(2 * wall, X) - X, -wall, wall)
+                np.copyto(X, mirrored, where=np.abs(X) > wall)
 
     denom_main = (n_steps - burn_idx) * dt
     denom_half = (n_steps - half_idx) * dt
@@ -182,7 +172,7 @@ def _run_paths(
         "half_averages": half_sum * dt / denom_half,
         "admissibility": adm_sum * dt,
         "admissibility_ratio": ratio,
-        "diverged": ~alive,
+        "diverged": ~np.isfinite(X).all(axis=1),
     }
 
 
@@ -197,20 +187,14 @@ def simulate_average(
     """Ergodic average of the running cost under a Markov feedback control.
 
     The control field is extended to the boundary layer by its nearest
-    interior value before interpolation.  Paths exiting the safety box are
-    flagged, frozen and excluded from the summary statistics.  The path ids
-    are split into ``params.workers`` chunks run on threads.
+    interior value before interpolation.  Paths reflect at the grid's wall;
+    a path whose state turns non-finite is flagged and excluded from the
+    summary statistics.  The path ids are split into ``params.workers``
+    chunks run one after another.
     """
     field = fill_boundary_nearest(check_vector_field(control, grid), grid)
     chunks = np.array_split(np.arange(params.n_paths), min(params.workers, params.n_paths))
-    run = lambda ids: _run_paths(ids, grid, field, model, potential, params)
-    if len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunks[0])]
+    parts = [_run_paths(ids, grid, field, model, potential, params) for ids in chunks]
     stats = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     return ErgodicAverageReport(name=name, params=params, **stats)
 
@@ -244,8 +228,8 @@ def compare_controls(
     params: SimParams,
 ) -> ComparisonReport:
     """Simulate several controls under common random numbers and rank them."""
-    if len(controls) < 1:
-        raise ValueError("need at least one control")
+    if not controls or len({name for name, _ in controls}) < len(controls):
+        raise ValueError("need at least one control, and distinct names")
     reports = {
         name: simulate_average(grid, ctrl, model, potential, params, name)
         for name, ctrl in controls

@@ -168,10 +168,10 @@ def test_criterion_5_singleton_minimizer(lp_setup):
 
 
 def test_criterion_6_simulation():
-    # solved on a wider box than criterion 1 so that the halved control's
-    # stationary law stays clear of the wall layer, where the stored control
-    # is damped by the state-constraint closure and the nearest-node
-    # extension would otherwise under-confine the simulated paths
+    # solved on a wider box than criterion 1: paths under xi_u and 2*xi_u
+    # stay well inside the wall at |x| = 10 (they peak near 6.8 and 4.2), so
+    # their reports do not depend on it, while paths under the halved control
+    # reach the wall and reflect there, as the density oracle's chain does
     model = pure_power(1.5)
     pot = quadratic_power_potential(1.5)
     grid = build_grid(1, 10.0, 0.02)

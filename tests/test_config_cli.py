@@ -7,6 +7,7 @@ import pytest
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
 from ergolab.estimates import fit_hamiltonian_growth
+from ergolab.grid import build_grid
 from ergolab.runner import STAGES, run_scenario
 
 
@@ -49,6 +50,22 @@ def test_structural_validation():
         parse_config('{"lp": {"xi_count": 40}}')
     with pytest.raises(ConfigError, match="radius"):
         parse_config('{"grid": {"radius": 0.1, "spacing": 0.05}}')
+
+
+def test_x0_checked_against_the_grid_wall():
+    # the wall follows the lattice, which stops short of R = 4.03
+    wall = build_grid(2, 4.03, 0.05).wall
+    text = '{"grid": {"dim": 2, "radius": 4.03, "spacing": 0.05}, "sde": {"x0": [%r, %r]}}'
+    assert parse_config(text % (0.0, -wall)).sim_params().x0 == (0.0, -wall)
+    with pytest.raises(ConfigError, match=r"'sde': x0 must list .* within \+-4"):
+        parse_config(text % (0.0, -(wall + 0.01)))
+
+
+def test_readme_default_block_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```json") + len("```json"):]
+    assert json.loads(block[: block.index("```")]) == DEFAULTS
 
 
 def test_drift_vector_length_must_match_dim():
@@ -140,6 +157,20 @@ def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
     assert ("error" in payload["results"]) == (code in (2, 3))
 
 
+def test_compare_reference_is_multiplier_one(tmp_path):
+    # the order of compare.multipliers does not change which report is the
+    # reference: every control's report is its own run on common noise
+    outcomes = []
+    for i, mults in enumerate(("[0.5,1.0,2.0]", "[1.0,2.0,0.5]")):
+        args = ["--set", f"compare.multipliers={mults}", "--set", "sde.horizon=20"]
+        main(["compare", "--out-dir", str(tmp_path / str(i))] + SOLVE_ARGS + args)
+        payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
+        check = payload["checks"]["optimal_control_ranks_first"]
+        outcomes.append((check, payload["results"]["compare"]["pathwise_reference_first"]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0]["passed"] == (outcomes[0][0]["value"][0] == "1*xi_u")
+
+
 def test_tied_keys_independent_of_override_order(tmp_path):
     # grid.radius >= 4 * grid.spacing holds only after both overrides
     overrides = ["--set", "grid.spacing=1.5", "--set", "grid.radius=8.0"]
@@ -162,8 +193,15 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("simulate", "sde.n_paths=2.5", "'sde'"),
         ("simulate", "sde.workers=2.7", "'sde'"),
         ("simulate", "sde.workers=0", "'sde'"),
-        ("simulate", "sde.safety_factor=-1", "'sde'"),
+        pytest.param(  # a deleted key
+            "simulate", "sde.safety_factor=-1", "unknown override path 'sde.safety_factor'",
+            id="sde.safety_factor=-1-unknown",
+        ),
         ("lp", "lp.xi_bound=-1", "'lp.xi_bound'"),
+        ("compare", "compare.multipliers=[0.5,2.0]", "'compare.multipliers'"),  # no 1.0
+        ("compare", "compare.multipliers=[1.0,1]", "'compare.multipliers'"),  # a repeat
+        ("compare", 'compare.multipliers=[1.0,"2"]', "'compare.multipliers'"),
+        ("simulate", "sde.x0=[4.1]", "'sde'"),  # outside the wall
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):

@@ -66,6 +66,13 @@ def test_identical_controls_identical_statistics(instance):
     )
 
 
+def test_repeated_control_name_rejected(instance):
+    g, model, pot, sol = instance
+    p = SimParams(horizon=1.0, timestep=1e-3, n_paths=2, seed=0)
+    with pytest.raises(ValueError, match="distinct names"):
+        compare_controls(g, [("a", sol.xi_u), ("a", 2.0 * sol.xi_u)], model, pot, p)
+
+
 PATH_ARRAYS = (
     "path_averages", "half_averages", "admissibility", "admissibility_ratio", "diverged"
 )
@@ -98,21 +105,26 @@ def test_single_control_compare_equals_simulate(request, case):
         assert_same_paths(comp.reports[name], simulate_average(g, ctrl, model, pot, p, name))
 
 
-def test_outward_drift_paths_flagged_divergent(instance):
-    g, model, pot, _ = instance
-    outward = np.zeros((g.num_nodes, 1))
-    outward[:, 0] = -3.0 * np.sign(g.coords[:, 0])  # drift -xi pushes outward
-    p = SimParams(horizon=12.0, timestep=1e-3, n_paths=4, seed=3, burn_in=1.0,
-                  x0=(1.0,))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_outward_control_reflects_at_the_wall(dim):
+    # the drift -xi = 3 sign(x) pushes every path into the wall; reflection
+    # keeps each path on the box, so none diverges and its running cost is
+    # bounded by max F on the box plus the control's Lagrangian
+    g = build_grid(dim, 2.0, 0.2)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    outward = -3.0 * np.sign(g.coords)
+    x0 = (1.8, -1.8)[:dim]  # near a corner in 2d
+    p = SimParams(horizon=12.0, timestep=1e-3, n_paths=4, seed=3, burn_in=1.0, x0=x0)
     rep = simulate_average(g, outward, model, pot, p, "outward")
-    assert rep.n_divergent == 4
-    assert np.isnan(rep.mean)
-    assert rep.params.safety_factor * g.radius == pytest.approx(18.0)
+    assert rep.n_divergent == 0
+    gs = model.gamma_star
+    bound = pot.value_fn(g.coords).max() + (3.0 * np.sqrt(dim)) ** gs / gs
+    assert np.all(rep.path_averages <= bound)
 
 
 def test_non_finite_paths_flagged_divergent(instance):
     # a control that evaluates to NaN right of x = 1.5 turns every path that
-    # reaches there into NaN; NaN fails the box test, so such paths count as
+    # reaches there into NaN, which stays NaN, so such paths count as
     # divergent instead of poisoning the mean
     g, model, pot, sol = instance
     field = fill_boundary_nearest(sol.xi_u, g)
@@ -158,12 +170,10 @@ def test_interpolation_inside_and_outside():
     # boundary layer
     assert np.allclose(vals[:, 0], pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
     assert np.allclose(vals[:, 1], -pts[:, 0], atol=1e-12)
-    # outside the hull: nearest node value (here the filled corner, which
-    # copies the nearest interior node at (1.5, 1.5))
-    far = _bilinear(g, field, np.array([[5.0, 5.0]]))
-    corner = 1.5 + 2 * 1.5
-    assert far[0, 0] == pytest.approx(corner)
-    assert far[0, 1] == pytest.approx(-1.5)
+    # on the wall, outside the interior nodes: the filled corner, which
+    # copies the nearest interior node at (1.5, 1.5)
+    corner = _bilinear(g, field, np.array([[g.wall, g.wall]]))
+    assert corner[0].tolist() == pytest.approx([1.5 + 2 * 1.5, -1.5])
 
 
 def test_ranking_and_pathwise(instance):
