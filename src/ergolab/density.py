@@ -2,10 +2,12 @@
 
 The density is the probability null vector of the transposed generator,
 taken as the transposed solve of the bordered system policy evaluation
-factors (``operators.factor_bordered``).  Sharing that system makes the
+solves (``operators.BorderedSolver``).  Sharing that system makes the
 discrete Fokker-Planck operator the exact adjoint of the linearised HJB
 operator, so the average cost under the optimally controlled density
-reproduces the eigenvalue to solver precision.
+reproduces the eigenvalue to solver precision.  Given the solver of a
+converged policy iteration, the transposed solve refines with the factor of
+its last evaluation instead of factoring its own.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import sparse
 
 from .grid import Grid, check_vector_field
 from .hamiltonian import HamiltonianModel, PotentialSpec, running_cost
-from .operators import assemble_generator, factor_bordered
+from .operators import BorderedSolver, assemble_generator
 
 ADJOINT_TOL = 1e-10
 
@@ -36,27 +38,45 @@ class DensityField:
         return float(self.rho.sum() * self.grid.spacing**self.grid.dim)
 
 
-def stationary_density(grid: Grid, control: np.ndarray) -> DensityField:
+def stationary_density(
+    grid: Grid, control: np.ndarray, solver: BorderedSolver | None = None
+) -> DensityField:
     """Probability null vector of the transposed generator under a control.
 
-    Factors the bordered system [[A, 1], [e_origin^T, 0]] of the
-    state-constraint generator A and solves its transpose with right-hand
-    side (0, 1/h^d): A^T rho + m e_origin = 0 and sum(rho) h^d = 1.  The
-    conservative closure gives A zero row sums, so summing the first block
-    forces the multiplier m to 0 and rho is the normalized null vector; the
-    full adjoint residual is checked below 1e-10.
+    Solves the transpose of the bordered system [[A, 1], [e_origin^T, 0]] of
+    the state-constraint generator A with right-hand side (0, 1/h^d):
+    A^T rho + m e_origin = 0 and sum(rho) h^d = 1.  The conservative closure
+    gives A zero row sums, so summing the first block forces the multiplier
+    m to 0 and rho is the normalized null vector; the full adjoint residual
+    is checked below 1e-10.  ``solver`` (a fresh one by default) may hold a
+    factor from policy evaluation; a result from a held factor that fails a
+    check is solved again with a fresh factor before anything is raised.
     """
     control = check_vector_field(control, grid)
     A, _ = assemble_generator(grid, control)  # state-constraint closure only
+    solver = BorderedSolver() if solver is None else solver
+    try:
+        rho_int = _null_vector(grid, A, solver)
+    except ReducibleChainError:
+        if not solver.reused:
+            raise
+        solver.drop()
+        rho_int = _null_vector(grid, A, solver)
+    rho = np.zeros(grid.num_nodes)
+    rho[grid.interior_ids] = rho_int
+    return DensityField(rho=rho, grid=grid)
+
+
+def _null_vector(grid: Grid, A, solver: BorderedSolver) -> np.ndarray:
+    """The checked, normalized interior density from one transposed solve."""
     nint = grid.num_interior
     hd = grid.spacing**grid.dim
-    try:
-        _, lu = factor_bordered(grid, A)
-    except RuntimeError as exc:
-        raise ReducibleChainError(f"adjoint factorization failed: {exc}") from exc
     e_mass = np.zeros(nint + 1)
     e_mass[-1] = 1.0
-    rho_int = lu.solve(e_mass / hd, trans="T")[:nint]
+    try:
+        rho_int = solver.solve(grid, A, e_mass / hd, ADJOINT_TOL, trans="T")[:nint]
+    except RuntimeError as exc:
+        raise ReducibleChainError(f"adjoint factorization failed: {exc}") from exc
     if not np.all(np.isfinite(rho_int)):
         raise ReducibleChainError("adjoint solve returned non-finite values")
 
@@ -75,11 +95,7 @@ def stationary_density(grid: Grid, control: np.ndarray) -> DensityField:
                 "density's dynamic range"
             )
         rho_int = np.maximum(rho_int, 0.0)
-    rho_int /= rho_int.sum() * hd
-
-    rho = np.zeros(grid.num_nodes)
-    rho[grid.interior_ids] = rho_int
-    return DensityField(rho=rho, grid=grid)
+    return rho_int / (rho_int.sum() * hd)
 
 
 @dataclass

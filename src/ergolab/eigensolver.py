@@ -10,6 +10,12 @@ current gradient).  Lambda enters the linear system as an explicit unknown;
 the system is closed by the row u(origin) = 0 and by the boundary closure
 selected in the options.  The returned value field is shifted so its minimum
 is exactly 1.
+
+One ``operators.BorderedSolver`` is carried through the iteration: near
+convergence the control moves little, so the factor of an earlier evaluation
+serves the next by iterative refinement and only the first few evaluations
+factor.  The solution keeps that solver, and with it the last factor, for
+the stationary density's transposed solve.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .hamiltonian import (
 from .operators import (
     DIRICHLET_BIG,
     STATE_CONSTRAINT,
+    BorderedSolver,
     assemble_generator,
-    factor_bordered,
 )
 
 
@@ -82,6 +88,10 @@ class ErgodicSolution:
     grid: Grid
     converged: bool
     lambda_history: list = field(default_factory=list)
+    # per iteration: lambda, sup control step and evaluation residual
+    iteration_stats: list = field(default_factory=list)
+    # holds the last evaluation's factor for the density's transposed solve
+    solver: BorderedSolver | None = field(default=None, repr=False, compare=False)
 
 
 def policy_evaluation(
@@ -89,16 +99,17 @@ def policy_evaluation(
     control: np.ndarray,
     cost: np.ndarray,
     opts: SolverOptions = SolverOptions(),
+    solver: BorderedSolver | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve the linear ergodic system for a frozen control.
 
     Finds (u, lambda) with (-Lap + control . D_upwind) u + lambda = cost on
     interior nodes, u(origin) = 0, and the boundary closure from the
     options.  Returns the full-grid field (boundary filled per closure) and
-    the eigenvalue.  The bordered system is factored once by
-    ``factor_bordered`` (SuperLU, COLAMD ordering); a residual above the
-    evaluation tolerance gets one step of iterative refinement with that
-    factor before it is checked.
+    the eigenvalue.  ``solver`` (a fresh one by default) solves the bordered
+    system, refining with the factor it holds and factoring afresh when that
+    factor cannot reach the evaluation tolerance, so the checks below fail
+    only on a fresh factor.
 
     Raises:
         SingularEvaluationError: the bordered system is numerically singular
@@ -112,21 +123,14 @@ def policy_evaluation(
     )
     nint = grid.num_interior
     b = np.concatenate([cost[grid.interior_ids] + rhs_bnd, [0.0]])
+    solver = BorderedSolver() if solver is None else solver
     try:
-        system, lu = factor_bordered(grid, A)
+        sol = solver.solve(grid, A, b, opts.eval_tolerance)
     except RuntimeError as exc:
         raise SingularEvaluationError(f"evaluation solve failed: {exc}") from exc
-    sol = lu.solve(b)
     if not np.all(np.isfinite(sol)):
         raise SingularEvaluationError("evaluation solve returned non-finite values")
-    scale = 1.0 + np.abs(b).max()
-    resid = np.abs(system @ sol - b).max() / scale
-    if resid > opts.eval_tolerance:
-        # on fine 2d grids the direct solve alone can miss the tolerance by a
-        # small factor (2.3e-10 at 160,801 nodes); one refinement step with
-        # the same factor recovers it
-        sol = sol + lu.solve(b - system @ sol)
-        resid = np.abs(system @ sol - b).max() / scale
+    resid = solver.residual
     if not resid <= opts.eval_tolerance:
         raise SingularEvaluationError(
             f"evaluation residual {resid:.3e} exceeds tolerance {opts.eval_tolerance:.1e}"
@@ -206,18 +210,21 @@ def solve_ergodic_hjb(
     coords = grid.coords
     control = np.zeros((grid.num_nodes, grid.dim))
     lam_prev = None
-    lam_hist: list[float] = []
+    iteration_stats: list[dict] = []
+    solver = BorderedSolver()
     u = np.zeros(grid.num_nodes)
     converged = False
     iterations = 0
     drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for k in range(opts.max_policy_iters):
         cost = fvals + np.atleast_1d(lagrangian_value(model, coords, control))
-        u, lam = policy_evaluation(grid, control, cost, opts)
+        u, lam = policy_evaluation(grid, control, cost, opts, solver)
         new_control = policy_improvement(grid, u, model)
         iterations = k + 1
-        lam_hist.append(lam)
-        step = np.abs(new_control - control).max()
+        step = float(np.abs(new_control - control).max())
+        iteration_stats.append(
+            {"lambda": lam, "control_step": step, "residual": float(solver.residual)}
+        )
         control = new_control
         if opts.boundary_mode == STATE_CONSTRAINT and _wall_outward_max(
             grid, control
@@ -239,13 +246,15 @@ def solve_ergodic_hjb(
     xi_u = policy_improvement(grid, u_shifted, model)
     sol = ErgodicSolution(
         u=u_shifted,
-        lam=float(lam_hist[-1]),
+        lam=float(lam),
         xi_u=xi_u,
         residual_sup=0.0,
         iterations=iterations,
         grid=grid,
         converged=converged,
-        lambda_history=lam_hist,
+        lambda_history=[entry["lambda"] for entry in iteration_stats],
+        iteration_stats=iteration_stats,
+        solver=solver,
     )
     sol.residual_sup = pde_residual(sol, model, potential)
     return sol

@@ -159,6 +159,7 @@ def _solve(run: _Run) -> None:
         "converged": sol.converged,
         "residual_sup": sol.residual_sup,
         "lambda_history": sol.lambda_history,
+        "stats": {**sol.solver.stats(), "iterations": sol.iteration_stats},
     }
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     if config["output"]["write_fields"]:
@@ -170,9 +171,14 @@ def _solve(run: _Run) -> None:
 
 def _density(run: _Run) -> None:
     sol, fp_gap = run.sol, run.config["checks"]["fp_gap"]
-    density = stationary_density(run.grid, sol.xi_u)
+    factorizations = sol.solver.factorizations
+    # the transposed solve refines with the factor of the last evaluation
+    density = stationary_density(run.grid, sol.xi_u, sol.solver)
     mu_cost = average_cost(density, sol.xi_u, run.model, run.potential)
-    run.results["fokker_planck"] = {"mu_cost": mu_cost}
+    run.results["fokker_planck"] = {
+        "mu_cost": mu_cost,
+        "stats": {"factorizations": sol.solver.factorizations - factorizations},
+    }
     if run.config["output"]["write_fields"]:
         write_field_csv(run.out / "density.csv", run.grid, {"rho": density.rho})
     gap = abs(mu_cost - sol.lam)

@@ -80,8 +80,10 @@ def _bilinear(grid: Grid, field: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bilinear lookup of a 2d control field at the rows of ``x`` (inside the wall)."""
     n = grid.nodes_per_axis
     t = (x + grid.half_width * grid.spacing) / grid.spacing  # fractional index
-    tc = np.clip(t, 0.0, n - 1)
-    i0 = np.minimum(tc.astype(np.int64), n - 2)
+    tc = np.clip(t, 0.0, n - 1)  # a NaN row stays NaN
+    # fmax sends NaN to node 0 before the cast, so a non-finite row reads no
+    # wrapped index and comes back NaN through its weights
+    i0 = np.minimum(np.fmax(tc, 0.0).astype(np.int64), n - 2)
     frac = tc - i0
     idx = i0[:, 0] * n + i0[:, 1]
     wa, wb = frac[:, 0:1], frac[:, 1:2]

@@ -285,6 +285,20 @@ def test_full_verify_pipeline(tmp_path, capsys):
     for stage, count in path_steps.items():
         assert payload["results"][stage]["stats"] == {"path_steps": count}
         assert payload["timing"]["path_steps_per_s"][stage] > 0
+    solve = payload["results"]["solve"]
+    assert set(solve["stats"]) == {
+        "unknowns",
+        "operator_nnz",
+        "lu_fill",
+        "factorizations",
+        "refinement_solves",
+        "iterations",
+    }
+    assert len(solve["stats"]["iterations"]) == solve["iterations"]
+    for entry in solve["stats"]["iterations"]:
+        assert set(entry) == {"lambda", "control_step", "residual"}
+    assert 1 <= solve["stats"]["factorizations"] <= solve["iterations"]
+    assert set(payload["results"]["fokker_planck"]["stats"]) == {"factorizations"}
 
 
 def test_full_verify_deterministic(tmp_path):

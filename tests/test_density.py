@@ -157,6 +157,18 @@ def test_inward_drift_beyond_one_over_h_rejected():
         stationary_density(g, ctrl)
 
 
+@pytest.mark.parametrize("dim, radius, spacing", [(1, 6.0, 0.02), (2, 4.0, 0.1)])
+def test_density_reuses_the_solution_factor(dim, radius, spacing):
+    g = build_grid(dim, radius, spacing)
+    sol = solve_ergodic_hjb(g, pure_power(1.5), quadratic_power_potential(1.5))
+    factorizations = sol.solver.factorizations
+    shared = stationary_density(g, sol.xi_u, sol.solver).rho
+    assert sol.solver.factorizations == factorizations
+    assert sol.solver.reused
+    own = stationary_density(g, sol.xi_u).rho
+    assert np.abs(shared - own).max() <= 1e-12 * own.max()
+
+
 def test_exact_pair_measure_feasible(manufactured_1d):
     g, model, pot, sol = manufactured_1d
     rho = stationary_density(g, sol.xi_u)

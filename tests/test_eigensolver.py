@@ -15,10 +15,12 @@ from ergolab.eigensolver import (
 from ergolab.grid import build_grid
 from ergolab.hamiltonian import (
     constant_potential,
+    lagrangian_value,
     pure_power,
     quadratic_power_potential,
     tabulated_potential,
 )
+from ergolab.operators import BorderedSolver
 
 
 def solve_scaled_instance(solution, model, potential, scale, opts=SolverOptions()):
@@ -74,6 +76,40 @@ def test_fine_2d_solve_meets_default_eval_tolerance():
     sol = solve_ergodic_hjb(g, pure_power(1.5), quadratic_power_potential(1.5))
     assert sol.converged
     assert abs(sol.lam - 3.0) <= 0.05
+
+
+def test_one_factor_serves_several_evaluations():
+    g = build_grid(2, 3.0, 0.1)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    sol = solve_ergodic_hjb(g, model, pot)
+    stats = sol.solver.stats()
+    assert sol.converged
+    assert 1 <= stats["factorizations"] < sol.iterations
+    assert [it["lambda"] for it in sol.iteration_stats] == sol.lambda_history
+    # the same iterations with a fresh factor in every evaluation
+    fvals = pot.on_grid(g)
+    control = np.zeros((g.num_nodes, 2))
+    for _ in range(sol.iterations):
+        cost = fvals + lagrangian_value(model, g.coords, control)
+        u, lam = policy_evaluation(g, control, cost)
+        control = policy_improvement(g, u, model)
+    assert abs(sol.lam - lam) <= 1e-10
+    assert np.abs(sol.u - (u - u.min() + 1.0)).max() <= 1e-9
+
+
+def test_held_factor_that_stalls_is_replaced():
+    g = build_grid(2, 3.0, 0.1)
+    cost = 1.0 + (g.coords**2).sum(axis=1)
+    solver = BorderedSolver()
+    policy_evaluation(g, np.zeros((g.num_nodes, 2)), cost, solver=solver)
+    far = -3.0 * g.coords
+    u, lam = policy_evaluation(g, far, cost, solver=solver)
+    assert solver.factorizations == 2
+    assert not solver.reused
+    u_fresh, lam_fresh = policy_evaluation(g, far, cost)
+    tol = SolverOptions().eval_tolerance
+    assert abs(lam - lam_fresh) <= tol
+    assert np.abs(u - u_fresh).max() <= tol
 
 
 def test_policy_improvement_quadratic():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,18 @@ def test_interpolation_inside_and_outside():
     # copies the nearest interior node at (1.5, 1.5)
     corner = _bilinear(g, field, np.array([[g.wall, g.wall]]))
     assert corner[0].tolist() == pytest.approx([1.5 + 2 * 1.5, -1.5])
+
+
+def test_interpolation_keeps_a_nan_row_out_of_the_index_cast():
+    g = build_grid(2, 2.0, 0.5)
+    field = np.random.default_rng(3).normal(size=(g.num_nodes, 2))
+    pts = np.array([[0.3, -0.7], [1.1, 0.2], [-g.wall, g.wall]])
+    with_nan = np.insert(pts, 1, [np.nan, 0.4], axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "invalid value encountered in cast"
+        vals = _bilinear(g, field, with_nan)
+    assert np.isnan(vals[1]).all()
+    assert np.array_equal(np.delete(vals, 1, axis=0), _bilinear(g, field, pts))
 
 
 def test_ranking_and_pathwise(instance):
