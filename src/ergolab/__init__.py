@@ -19,7 +19,6 @@ from .hamiltonian import (
     power_beta_potential,
     constant_potential,
     named_potential,
-    tabulated_potential,
 )
 from .eigensolver import (
     ErgodicSolution,
@@ -43,7 +42,6 @@ __all__ = [
     "power_beta_potential",
     "constant_potential",
     "named_potential",
-    "tabulated_potential",
     "ErgodicSolution",
     "SolverOptions",
     "solve_ergodic_hjb",

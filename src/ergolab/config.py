@@ -26,6 +26,7 @@ from .hamiltonian import (
     pure_power,
     quadratic_power_potential,
 )
+from .operators import STATE_CONSTRAINT
 from .simulate import SimParams
 
 # scenario -> the names of its stages, run in this order by ``runner.STAGES``
@@ -47,7 +48,6 @@ DEFAULTS: dict[str, Any] = {
     "seed": 12345,
     "grid": {"dim": 1, "radius": 4.0, "spacing": 0.05},
     "model": {
-        "kind": "pure_power",
         "gamma": 1.5,
         "drift_name": "none",  # none | sine | constant
         "drift_amplitude": 0.0,
@@ -63,7 +63,6 @@ DEFAULTS: dict[str, Any] = {
         "max_policy_iters": 200,
         "eval_tolerance": 1e-10,
         "lambda_tolerance": 1e-10,
-        "boundary_mode": "state_constraint",
         "dirichlet_value": 1e6,
         "eps_grad": 1e-12,
         "control_tolerance": 1e-6,
@@ -139,8 +138,6 @@ def _validate(cfg: dict) -> dict:
     if cfg["grid"]["radius"] < 4 * cfg["grid"]["spacing"]:
         raise ConfigError("'grid.radius' must be >= 4 * grid.spacing")
     _require_number(cfg, "model.gamma", low=1.0, message="'model.gamma' must exceed 1")
-    if cfg["model"]["kind"] not in ("pure_power", "drift_power"):
-        raise ConfigError("'model.kind' must be pure_power or drift_power")
     fam = cfg["potential"]["family"]
     if fam not in ("quadratic_power", "power_beta", "constant", "named"):
         raise ConfigError(f"'potential.family' unknown: {fam!r}")
@@ -201,10 +198,10 @@ class RunConfig:
 
     def model(self) -> HamiltonianModel:
         m = self.raw["model"]
-        if m["kind"] == "pure_power":
-            return pure_power(m["gamma"], self.raw["solver"]["eps_grad"])
         name = m["drift_name"]
         amp = float(m["drift_amplitude"])
+        if name == "none":
+            return pure_power(m["gamma"], self.raw["solver"]["eps_grad"])
         if name == "sine":
             fn = lambda x: amp * np.sin(x)
             bound = abs(amp) * np.sqrt(self.raw["grid"]["dim"])
@@ -216,9 +213,7 @@ class RunConfig:
             fn = lambda x: np.tile(vec, (x.shape[0], 1))
             bound = float(np.linalg.norm(vec))
         else:
-            raise ConfigError(
-                "'model.drift_name' must be sine or constant for drift_power"
-            )
+            raise ConfigError(f"'model.drift_name' must be none, sine or constant, got {name!r}")
         return drift_power(m["gamma"], fn, bound, self.raw["solver"]["eps_grad"])
 
     def potential(self) -> PotentialSpec:
@@ -231,13 +226,15 @@ class RunConfig:
             return constant_potential(p["value"])
         return named_potential(p["name"])
 
-    def solver_options(self, boundary_mode: str | None = None) -> SolverOptions:
+    def solver_options(self, boundary_mode: str = STATE_CONSTRAINT) -> SolverOptions:
+        """Solver options; every scenario but ``exhaust`` solves under the
+        state constraint, and ``exhaust`` passes ``exhaust.boundary_mode``."""
         s = self.raw["solver"]
         return SolverOptions(
             max_policy_iters=int(s["max_policy_iters"]),
             eval_tolerance=float(s["eval_tolerance"]),
             lambda_tolerance=float(s["lambda_tolerance"]),
-            boundary_mode=boundary_mode or s["boundary_mode"],
+            boundary_mode=boundary_mode,
             dirichlet_value=float(s["dirichlet_value"]),
             control_tolerance=float(s["control_tolerance"]),
         )

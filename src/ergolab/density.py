@@ -161,5 +161,5 @@ def average_cost(
     grid = density.grid
     control = check_vector_field(control, grid)
     ids = np.flatnonzero(density.rho > 0)
-    costs = np.atleast_1d(running_cost(model, potential, grid.coords[ids], control[ids]))
+    costs = running_cost(model, potential, grid.coords[ids], control[ids])
     return float((costs * density.rho[ids]).sum() * grid.spacing**grid.dim)

@@ -154,7 +154,7 @@ def policy_improvement(
     du = gradient_inward_fallback(u, grid)
     xi = np.zeros((grid.num_nodes, grid.dim))
     ids = grid.interior_ids
-    xi[ids] = np.atleast_2d(optimal_control(model, grid.coords[ids], du[ids]))
+    xi[ids] = optimal_control(model, grid.coords[ids], du[ids])
     return xi
 
 
@@ -217,7 +217,7 @@ def solve_ergodic_hjb(
     iterations = 0
     drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for k in range(opts.max_policy_iters):
-        cost = fvals + np.atleast_1d(lagrangian_value(model, coords, control))
+        cost = fvals + lagrangian_value(model, coords, control)
         u, lam = policy_evaluation(grid, control, cost, opts, solver)
         new_control = policy_improvement(grid, u, model)
         iterations = k + 1
@@ -276,7 +276,7 @@ def pointwise_residual(
     fvals = potential.on_grid(grid)
     out = np.zeros(grid.num_nodes)
     ids = grid.interior_ids
-    hvals = np.atleast_1d(hamiltonian_value(model, grid.coords[ids], du[ids]))
+    hvals = hamiltonian_value(model, grid.coords[ids], du[ids])
     out[ids] = np.abs(-lap[ids] + hvals - fvals[ids] + solution.lam)
     return out
 

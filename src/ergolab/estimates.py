@@ -295,90 +295,6 @@ def check_value_lower_bounds(
     )
 
 
-def check_superquadratic_scaling(
-    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
-) -> EstimateReport:
-    """Superquadratic (gamma >= 2) variant with rebalanced exponents:
-    |Df| <= k0 (1 + |f|^((4g-3)/(3g-2))) and the ball lower bound
-    inf u >= kappa f^(g/(3g-2)) at scale f^((1-g)/(3g-2))."""
-    gamma = model.gamma
-    if gamma < 2.0:
-        raise ValueError("superquadratic audit requires gamma >= 2")
-    grid = solution.grid
-    f = potential.on_grid(grid)
-    df = np.linalg.norm(potential.grad_on_grid(grid), axis=1)
-    expo = (4.0 * gamma - 3.0) / (3.0 * gamma - 2.0)
-    k0, witness, sweep = _radius_sweep_fit(grid, df, 1.0 + np.abs(f) ** expo)
-
-    kexp = gamma / (3.0 * gamma - 2.0)
-    sexp = (1.0 - gamma) / (3.0 * gamma - 2.0)
-    _, kappa, _, coverage = _lower_bound_constants(solution, potential, gamma, kexp, sexp)
-    refined = _resolve_refined(solution, model, potential)
-    _, kappa_half, _, _ = _lower_bound_constants(refined, potential, gamma, kexp, sexp)
-    passed = _sweep_passed(sweep) and _stable(kappa, kappa_half) and kappa > 0
-    return EstimateReport(
-        name="superquadratic_scaling",
-        fitted_constant=k0,
-        witness=witness,
-        passed=passed,
-        sweep=sweep,
-        details={"kappa": kappa, "kappa_refined": kappa_half, "coverage": coverage},
-    )
-
-
-def check_drift_boundary_perturbation(
-    model: HamiltonianModel,
-    gamma: float,
-    radius: float = 1.0,
-    dim: int = 1,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> EstimateReport:
-    """Check that the drift term is a small perturbation of the pure power
-    near the box boundary: |b(x).xi| <= eps (|xi|^g + dist(x, boundary)^-g*)
-    whenever dist < delta(eps), with delta = C^(-(g-1)/g) eps and C fitted
-    from sup|b| by the sharp Young split.
-    """
-    if model.kind != "drift_power":
-        raise ValueError("drift perturbation audit requires a drift model")
-    gstar = gamma / (gamma - 1.0)
-    bsup = model.drift_bound
-    C = (1.0 - 1.0 / gamma) * gamma ** (-1.0 / (gamma - 1.0)) * bsup**gstar
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = (0.0,)
-    worst_margin = np.inf
-    for eps in (0.1, 0.01):
-        delta = C ** (-(gamma - 1.0) / gamma) * eps if C > 0 else radius / 2
-        delta = min(delta, radius / 2)
-        dist = rng.uniform(1e-9, delta, size=n_samples)
-        x = rng.uniform(-radius + 1e-6, radius - 1e-6, size=(n_samples, dim))
-        face_axis = rng.integers(0, dim, size=n_samples)
-        face_sign = rng.choice([-1.0, 1.0], size=n_samples)
-        x[np.arange(n_samples), face_axis] = face_sign * (radius - dist)
-        mag = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n_samples))
-        direction = rng.standard_normal((n_samples, dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        xi = mag[:, None] * direction
-        b = model.drift_at(x)
-        lhs = np.abs(np.sum(b * xi, axis=1))
-        rhs = eps * (mag**gamma + dist**-gstar)
-        margin = rhs - lhs
-        violations += int(np.sum(margin < 0))
-        k = int(np.argmin(margin))
-        if margin[k] < worst_margin:
-            worst_margin = float(margin[k])
-            worst = tuple(x[k])
-    return EstimateReport(
-        name="drift_boundary_perturbation",
-        fitted_constant=float(C),
-        witness=worst,
-        passed=violations == 0,
-        sweep=[worst_margin],
-        details={"violations": violations, "drift_bound": bsup},
-    )
-
-
 def fit_hamiltonian_growth(
     model: HamiltonianModel, dim: int, seed: int = 0, n_samples: int = 4096
 ) -> dict:
@@ -392,21 +308,18 @@ def fit_hamiltonian_growth(
     pn = np.linalg.norm(p, axis=1)
     xin = np.linalg.norm(xi, axis=1)
 
-    H = np.atleast_1d(hamiltonian_value(model, x, p))
+    H = hamiltonian_value(model, x, p)
     # smallest t with H >= |p|^g / t - t pointwise
     t_low = 0.5 * (-H + np.sqrt(H**2 + 4 * pn**g))
     h0 = float(max(np.max(H / (1 + pn**g)), np.max(t_low)))
 
-    dph = np.linalg.norm(np.atleast_2d(optimal_control(model, x, p)), axis=1)
+    dph = np.linalg.norm(optimal_control(model, x, p), axis=1)
     h1 = float(max(np.max(dph / (1 + pn ** (g - 1))), 1e-12))
 
-    # conjugate gradient |xi - b|^(g*-1) for the implemented families
-    if model.kind == "drift_power":
-        dxl = np.linalg.norm(xi - model.drift_at(x), axis=1) ** (gs - 1)
-    else:
-        dxl = xin ** (gs - 1)
+    # conjugate gradient |xi - b|^(g*-1)
+    dxl = np.linalg.norm(xi - model.drift_at(x), axis=1) ** (gs - 1)
     l1 = float(np.max(dxl / (1 + xin ** (gs - 1))))
-    L = np.atleast_1d(lagrangian_value(model, x, xi))
+    L = lagrangian_value(model, x, xi)
     t_low_l = 0.5 * (-L + np.sqrt(L**2 + 4 * xin**gs))
     l0 = float(max(np.max(L / (1 + xin**gs)), np.max(t_low_l)))
     return {"h0": h0, "h1": h1, "l0": l0, "l1": l1}

@@ -1,8 +1,8 @@
 """Hamiltonians, their convex conjugates, optimal control maps, running cost.
 
-Two closed-form families are supported: the pure power |p|^g / g with g > 1,
-and its perturbation by a bounded drift, b(x).p + |p|^g / g.  Both have
-exact conjugates, which keeps the duality-gap checks sharp.
+One closed-form family is supported: b(x).p + |p|^g / g with g > 1 and a
+bounded drift b; the pure power |p|^g / g is its member with b = 0.  Its
+exact conjugate |xi - b(x)|^g* / g* keeps the duality-gap checks sharp.
 """
 
 from __future__ import annotations
@@ -19,17 +19,18 @@ CONJUGATE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    kind: str  # "pure_power" | "drift_power"
     gamma: float
     gamma_star: float
-    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    drift: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: b = 0
     drift_bound: float = 0.0
     eps_grad: float = 1e-12
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
+        """b(x), shape (n, d); for b = 0 a read-only view of zeros that
+        allocates nothing, so the pure power costs no (n, d) array for it."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.drift is None:
-            return np.zeros_like(x)
+            return np.broadcast_to(0.0, x.shape)
         b = np.asarray(self.drift(x), dtype=float)
         if b.shape != x.shape:
             raise ValueError(f"drift returned shape {b.shape}, expected {x.shape}")
@@ -44,7 +45,7 @@ def pure_power(gamma: float, eps_grad: float = 1e-12) -> HamiltonianModel:
     gstar = gamma / (gamma - 1.0)
     if abs(1.0 / gamma + 1.0 / gstar - 1.0) > CONJUGATE_TOL:
         raise ValueError("conjugate exponent identity failed")
-    return HamiltonianModel("pure_power", gamma, gstar, eps_grad=eps_grad)
+    return HamiltonianModel(gamma, gstar, eps_grad=eps_grad)
 
 
 def drift_power(
@@ -57,9 +58,7 @@ def drift_power(
     base = pure_power(gamma, eps_grad)
     if not np.isfinite(drift_bound):
         raise ValueError("drift bound must be finite")
-    return HamiltonianModel(
-        "drift_power", base.gamma, base.gamma_star, drift, float(drift_bound), eps_grad
-    )
+    return HamiltonianModel(base.gamma, base.gamma_star, drift, float(drift_bound), eps_grad)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -67,25 +66,20 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_value(model: HamiltonianModel, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """H(x, p); vectorized over leading axes."""
+    """H(x, p) = b(x).p + |p|^g / g, one value per point (shape (n,))."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    out = _norm(p) ** model.gamma / model.gamma
-    if model.kind == "drift_power":
-        out = out + np.sum(model.drift_at(x) * p, axis=-1)
-    return out if out.size > 1 else float(out[0])
+    return _norm(p) ** model.gamma / model.gamma + np.sum(model.drift_at(x) * p, axis=-1)
 
 
 def lagrangian_value(model: HamiltonianModel, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Convex conjugate L(x, xi); for the drift family |xi - b(x)|^g* / g*."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    if model.kind == "drift_power":
-        xi = xi - model.drift_at(x)
-    out = _norm(xi) ** model.gamma_star / model.gamma_star
-    return out if out.size > 1 else float(out[0])
+    """Convex conjugate L(x, xi) = |xi - b(x)|^g* / g*, shape (n,)."""
+    eta = np.atleast_2d(np.asarray(xi, dtype=float)) - model.drift_at(x)
+    eta *= eta  # squared in place and summed as np.linalg.norm does: no second (n, d) array
+    return np.sqrt(eta.sum(axis=-1)) ** model.gamma_star / model.gamma_star
 
 
 def optimal_control(model: HamiltonianModel, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gradient of H in p: the maximizing control |p|^(g-2) p (+ b(x)).
+    """Gradient of H in p: the maximizing control |p|^(g-2) p + b(x), shape (n, d).
 
     The power term is continuous at p = 0 for gamma > 1 and is set to zero
     there; |p| below eps_grad is treated as zero to avoid overflow in the
@@ -96,24 +90,21 @@ def optimal_control(model: HamiltonianModel, x: np.ndarray, p: np.ndarray) -> np
     safe = np.where(mag > model.eps_grad, mag, 1.0)
     factor = np.where(mag > model.eps_grad, safe ** (model.gamma - 2.0), 0.0)
     out = factor[..., None] * p
-    if model.kind == "drift_power":
-        out = out + model.drift_at(x)
-    return out if out.shape[0] > 1 else out[0]
+    out += model.drift_at(x)
+    return out
 
 
 def duality_gap(
     model: HamiltonianModel, x: np.ndarray, xi: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
-    """H(x,p) + L(x,xi) - xi.p, nonnegative with equality at xi = D_p H."""
+    """H(x,p) + L(x,xi) - xi.p, nonnegative with equality at xi = D_p H; shape (n,)."""
     xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
     p2 = np.atleast_2d(np.asarray(p, dtype=float))
-    out = (
+    return (
         hamiltonian_value(model, x, p2)
         + lagrangian_value(model, x, xi2)
         - np.sum(xi2 * p2, axis=-1)
     )
-    out = np.atleast_1d(out)
-    return out if out.size > 1 else float(out[0])
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +115,9 @@ def duality_gap(
 class PotentialSpec:
     """Running-cost potential f with gradient, evaluable at arbitrary points.
 
-    Closed-form families are validated to satisfy f >= 1; tabulated data is
-    taken as-is (scaled instances legitimately dip below 1) and yields its
-    gradient by centered differences when not supplied.
+    The closed-form families below satisfy f >= 1; a spec built from other
+    data, such as a potential sampled on a grid, is taken as-is (scaled
+    instances legitimately dip below 1).
     """
 
     family: str
@@ -229,46 +220,11 @@ def named_potential(name: str) -> PotentialSpec:
     return PotentialSpec("named", val, grad, {"name": name})
 
 
-def tabulated_potential(
-    grid: Grid, values: np.ndarray, grads: Optional[np.ndarray] = None
-) -> PotentialSpec:
-    """Potential sampled on a grid; gradient falls back to centered differences.
-
-    Point evaluation snaps to the nearest node, which is exact for the
-    solver-facing uses (all evaluations happen at nodes of the same grid).
-    """
-    from .grid import check_scalar_field, gradient_central
-
-    values = check_scalar_field(values, grid)
-    if grads is None:
-        grads = gradient_central(values, grid)
-        bnd = np.flatnonzero(~grid.interior_mask)
-        grads[bnd] = grads[grid.nearest_interior(bnd)]
-    grads = np.asarray(grads, dtype=float)
-
-    def lookup_ids(x: np.ndarray) -> np.ndarray:
-        idx = np.rint(x / grid.spacing).astype(np.int64) + grid.half_width
-        idx = np.clip(idx, 0, grid.nodes_per_axis - 1)
-        flat = np.zeros(x.shape[0], dtype=np.int64)
-        for a, stride in enumerate(grid.axis_strides):
-            flat += idx[:, a] * stride
-        return flat
-
-    return PotentialSpec(
-        "tabulated",
-        lambda x: values[lookup_ids(x)],
-        lambda x: grads[lookup_ids(x)],
-        {"grid": grid},
-    )
-
-
 def running_cost(
     model: HamiltonianModel,
     potential: PotentialSpec,
     x: np.ndarray,
     xi: np.ndarray,
 ) -> np.ndarray:
-    """F(x, xi) = f(x) + L(x, xi)."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    out = potential.values(x2) + np.atleast_1d(lagrangian_value(model, x2, xi))
-    return out if out.size > 1 else float(out[0])
+    """F(x, xi) = f(x) + L(x, xi), shape (n,)."""
+    return potential.values(x) + lagrangian_value(model, x, xi)

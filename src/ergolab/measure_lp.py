@@ -119,7 +119,7 @@ def assemble_lp(
 
     x_rep = np.repeat(grid.coords, K, axis=0)
     xi_rep = np.tile(xi_atoms, (grid.num_nodes, 1))
-    objective = np.atleast_1d(running_cost(model, potential, x_rep, xi_rep))
+    objective = running_cost(model, potential, x_rep, xi_rep)
     return LPProblem(a_eq=a_eq, b_eq=b_eq, objective=objective, grid=grid, xi_atoms=xi_atoms)
 
 
@@ -275,15 +275,15 @@ def excess_cost_identity(
 
     ids = grid.interior_ids
     base = np.zeros(grid.num_nodes)
-    base[ids] = np.atleast_1d(
-        lagrangian_value(model, coords[ids], solution.xi_u[ids])
-    ) - _upwind_pairing(solution.xi_u[ids], dminus[ids], dplus[ids])
+    base[ids] = lagrangian_value(model, coords[ids], solution.xi_u[ids]) - _upwind_pairing(
+        solution.xi_u[ids], dminus[ids], dplus[ids]
+    )
 
     coo = measure.weights.tocoo()
     x_ids = coo.row
     xi = measure.xi_atoms[coo.col]
     w = coo.data
-    lvals = np.atleast_1d(lagrangian_value(model, coords[x_ids], xi))
+    lvals = lagrangian_value(model, coords[x_ids], xi)
     lhs = float(np.sum((fvals[x_ids] + lvals) * w) - lam * w.sum())
 
     inner = grid.interior_mask[x_ids]

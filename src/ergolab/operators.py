@@ -11,7 +11,9 @@ Closures at the one-node boundary layer:
   wall-adjacent node differences inward regardless of the drift sign.  Every
   row then sums to zero, so the operator is a conservative generator and its
   transpose has a probability null vector.  Off-diagonals stay nonpositive
-  as long as |drift| < 1/h, which the solvers check.
+  as long as |drift| < 1/h, which the solvers check.  The coefficients are
+  snapped to multiples of one power of two, so the row sums are exactly 0 in
+  floating point too, for any order of summation.
 
 * ``dirichlet``: full centered/upwind stencils; legs hitting the boundary
   multiply a pinned value M and are returned as a right-hand-side
@@ -71,7 +73,18 @@ def assemble_generator(
 
     nint = grid.num_interior
     h = grid.spacing
+    # A row's off-diagonals sum in magnitude to at most `bound`, and so does
+    # its diagonal.  With q = 2^(ceil(log2 B) - 52) for B = 2 * (2 * bound),
+    # every multiple of q up to B in magnitude is a double, so once the
+    # coefficients are multiples of q every partial sum of a row is exact and
+    # a conservative row sums to exactly 0.  Snapping moves a coefficient by
+    # at most q / 2, a few ulps of the diffusion coefficient.
     inv_h2 = 1.0 / h**2
+    bound = 2 * grid.dim * inv_h2 + sum(
+        max(w_int[:, a].max(), -w_int[:, a].min()) for a in range(grid.dim)
+    ) / h
+    q = 2.0 ** (np.ceil(np.log2(4.0 * bound)) - 52)
+    inv_h2 = float(np.rint(inv_h2 / q) * q)
     ids = np.arange(nint)
     dirichlet = boundary_mode == DIRICHLET_BIG
 
@@ -85,6 +98,7 @@ def assemble_generator(
     for a in range(grid.dim):
         w = w_int[:, a]
         speed = np.abs(w) / h
+        _snap(speed, q)
         upwind_side = np.where(w > 0, -1, 1)  # s = -1 means backward difference
         neighbors = {s: grid.interior_neighbor(a, s) for s in (-1, 1)}
         for s in (-1, 1):
@@ -116,6 +130,14 @@ def assemble_generator(
         shape=(nint, nint),
     )
     return A.tocsr(), rhs
+
+
+def _snap(values: np.ndarray, q: float) -> None:
+    """Round ``values`` in place to the nearest multiples of the power of two
+    ``q``; in place, because the held factor may be alive during assembly."""
+    values /= q
+    np.rint(values, out=values)
+    values *= q
 
 
 class BorderedSolver:

@@ -244,13 +244,11 @@ def _simulate(run: _Run) -> None:
         **_report_sim(rep),
         "stats": {"path_steps": params.n_paths * params.n_steps},
     }
+    columns = (np.arange(params.n_paths), rep.path_averages, rep.admissibility, rep.diverged)
     write_csv(
         run.out / "paths.csv",
         ["path", "time_average", "admissibility_integral", "diverged"],
-        [
-            (i, rep.path_averages[i], rep.admissibility[i], int(rep.diverged[i]))
-            for i in range(params.n_paths)
-        ],
+        np.column_stack(columns),
     )
     sigmas = float(run.config["checks"]["sim_sigmas"])
     gap = abs(rep.mean - run.sol.lam)
@@ -303,7 +301,7 @@ def _headline(run: _Run) -> None:
 
 def _exhaust(run: _Run) -> None:
     config, model, potential = run.config, run.model, run.potential
-    opts = config.solver_options(boundary_mode=config["exhaust"]["boundary_mode"])
+    opts = config.solver_options(config["exhaust"]["boundary_mode"])
     radii, spacing = config["exhaust"]["radii"], config["grid"]["spacing"]
     dim = int(config["grid"]["dim"])
     if radii[0] < 4 * spacing:
@@ -316,7 +314,7 @@ def _exhaust(run: _Run) -> None:
     lams = [lam for _, lam in seq]
     diffs = [b - a for a, b in zip(lams, lams[1:])]
     run.results["exhaustion"] = {"sequence": seq, "successive_differences": diffs}
-    write_csv(run.out / "exhaustion.csv", ["radius", "lambda"], [(r, lam) for r, lam in seq])
+    write_csv(run.out / "exhaustion.csv", ["radius", "lambda"], np.array(seq, dtype=float))
     run.check("exhaustion_nonincreasing", all(d <= 1e-8 for d in diffs), diffs, 1e-8)
 
 

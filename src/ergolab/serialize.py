@@ -14,31 +14,22 @@ import numpy as np
 from .grid import Grid
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
 _CHUNK_ROWS = 256  # rows formatted at once: bounds what the writer adds to peak RSS
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Header, then one line per row.  A 2-D float array is formatted a chunk
-    of rows at a time with one ``%.17g`` row format, which renders each value
-    as ``format(v, ".17g")`` does; other rows go value by value."""
+def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Header, then one line per row of the 2-D float array ``rows``, formatted
+    a chunk of rows at a time with one ``%.17g`` row format, which renders
+    each value as ``format(v, ".17g")`` does: an integral value has no
+    decimal point, so integer columns such as path ids read as integers."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _CHUNK_ROWS):
-                chunk = rows[start : start + _CHUNK_ROWS].tolist()
-                fh.write("".join(line % tuple(row) for row in chunk))
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS].tolist()
+            fh.write("".join(line % tuple(row) for row in chunk))
 
 
 def write_field_csv(path: Path, grid: Grid, columns: dict[str, np.ndarray]) -> None:

@@ -126,7 +126,7 @@ def _run_paths(
     # whole budget on shape normalization at 1e6+ calls
     fval = potential.value_fn
     gs = model.gamma_star
-    drift = model.drift if model.kind == "drift_power" else None
+    drift = model.drift
     if dim == 1:  # np.interp written into a preallocated column of xi
         xi = np.empty((P, 1))
         xi_col, x_col, field_col = xi[:, 0], X[:, 0], field[:, 0]

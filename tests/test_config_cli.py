@@ -69,7 +69,7 @@ def test_readme_default_block_is_the_defaults():
 
 
 def test_drift_vector_length_must_match_dim():
-    cfg = parse_config('{"model": {"kind": "drift_power", "drift_name": "constant"}}')
+    cfg = parse_config('{"model": {"drift_name": "constant"}}')
     with pytest.raises(ConfigError, match="model.drift_vector"):
         cfg.model()
     with pytest.raises(ConfigError, match="model.drift_vector"):
@@ -85,7 +85,7 @@ def test_drift_vector_length_must_match_dim():
 
 def test_growth_constants_for_1d_constant_drift():
     cfg = parse_config(
-        '{"model": {"kind": "drift_power", "drift_name": "constant", "drift_vector": [0.3]}}'
+        '{"model": {"drift_name": "constant", "drift_vector": [0.3]}}'
     )
     consts = fit_hamiltonian_growth(cfg.model(), cfg["grid"]["dim"], seed=3)
     assert all(np.isfinite(v) and v >= 0 for v in consts.values())
@@ -130,6 +130,16 @@ def test_cli_repeat_run_bitwise_identical(tmp_path):
     assert pa == pb
 
 
+def test_drift_name_alone_selects_the_drift(tmp_path):
+    lams = []
+    for i, extra in enumerate(([], ["model.drift_name=sine", "model.drift_amplitude=0.5"])):
+        sets = [arg for key in extra for arg in ("--set", key)]
+        assert main(["solve", "--out-dir", str(tmp_path / str(i))] + SOLVE_ARGS + sets) == 0
+        payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
+        lams.append(payload["results"]["solve"]["lambda"])
+    assert abs(lams[1] - lams[0]) > 0.1  # 2.0054 without the drift, 1.7647 with it
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": {"gamma": 0.5}}')
@@ -142,12 +152,12 @@ def test_cli_config_error_exit_code(tmp_path):
     [
         (0, "solve", []),
         (1, "solve", ["--set", "solver.max_policy_iters=1"]),
-        (2, "solve", ["--set", "model.kind=drift_power"]),  # no drift_name
+        (2, "solve", ["--set", "model.drift_name=constant"]),  # no drift_vector
         (2, "solve", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # over MAX_NODES
         (2, "exhaust", ["--set", "grid.dim=2", "--set", "exhaust.radii=[3.0,200.0]"]),  # ditto
         (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
         (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
-        (2, "check", ["--set", "model.kind=drift_power"]),  # check builds the model too
+        (2, "check", ["--set", "model.drift_name=constant"]),  # check builds the model too
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
@@ -196,6 +206,15 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         pytest.param(  # a deleted key
             "simulate", "sde.safety_factor=-1", "unknown override path 'sde.safety_factor'",
             id="sde.safety_factor=-1-unknown",
+        ),
+        pytest.param(  # drift_name alone picks the Hamiltonian
+            "solve", "model.kind=drift_power", "unknown override path 'model.kind'",
+            id="model.kind-unknown",
+        ),
+        pytest.param(  # only exhaust picks a closure
+            "solve", "solver.boundary_mode=dirichlet_big",
+            "unknown override path 'solver.boundary_mode'",
+            id="solver.boundary_mode-unknown",
         ),
         ("lp", "lp.xi_bound=-1", "'lp.xi_bound'"),
         ("compare", "compare.multipliers=[0.5,2.0]", "'compare.multipliers'"),  # no 1.0

@@ -158,6 +158,19 @@ def test_generator_monotone_and_conservative(dim):
     assert (rhs2 > 0).any()
 
 
+@pytest.mark.parametrize("dim, radius, spacing", [(1, 4.0, 0.01), (2, 2.0, 0.02)])
+def test_generator_rows_sum_to_exactly_zero(dim, radius, spacing):
+    # the density's border multiplier is -(A 1) . rho, so any roundoff in the
+    # row sums shows up in its adjoint residual
+    g = build_grid(dim, radius, spacing)
+    ctrl = np.random.default_rng(4).normal(scale=10.0, size=(g.num_nodes, dim))
+    A, _ = assemble_generator(g, ctrl)
+    # wall legs: next to a wall, the drift -ctrl heads for it
+    x, w = g.coords[g.interior_ids], ctrl[g.interior_ids]
+    assert ((np.abs(x) > g.wall - 1.5 * spacing) & (w * x < 0)).any()
+    assert np.all(A @ np.ones(g.num_interior) == 0.0)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_generator_rows_match_stencil_functions(dim):
     # the matrix route and the field-operator route must agree exactly:

@@ -128,6 +128,28 @@ def test_growth_constants_finite():
         assert all(np.isfinite(v) and v >= 0 for v in consts.values())
 
 
+def test_pure_power_is_the_drift_family_with_zero_drift():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-5, 5, size=(500, 2))
+    p = rng.normal(size=(500, 2)) * rng.uniform(0, 6, size=(500, 1))
+    p[:3] = 0.0  # the control map's singular point
+    pure, zero = pure_power(1.5), drift_power(1.5, lambda x: np.zeros_like(x), 0.0)
+    for fn in (hamiltonian_value, lagrangian_value, optimal_control):
+        assert fn(pure, x, p).tobytes() == fn(zero, x, p).tobytes()
+
+
+@pytest.mark.parametrize("model", [pure_power(1.5), drift_power(2.0, unit_drift, 1.0)])
+def test_one_point_calls_return_arrays(model):
+    pot = quadratic_power_potential(1.5)
+    for x in (np.zeros(2), np.zeros((1, 2))):
+        p = xi = x + 0.5
+        assert hamiltonian_value(model, x, p).shape == (1,)
+        assert lagrangian_value(model, x, xi).shape == (1,)
+        assert optimal_control(model, x, p).shape == (1, 2)
+        assert duality_gap(model, x, xi, p).shape == (1,)
+        assert running_cost(model, pot, x, xi).shape == (1,)
+
+
 def test_potential_families():
     pot = quadratic_power_potential(1.5)
     x = np.array([[1.0]])
@@ -148,7 +170,7 @@ def test_potential_families():
 
 def test_tabulated_potential_roundtrip():
     from ergolab.grid import build_grid
-    from ergolab.hamiltonian import tabulated_potential
+    from oracles import tabulated_potential
 
     g = build_grid(1, 2.0, 0.1)
     f = 1.0 + g.coords[:, 0] ** 2

@@ -34,5 +34,6 @@ def test_float_rows_match_per_value_format(tmp_path, rows):
 
 
 def test_mixed_rows_keep_integers(tmp_path):
-    write_csv(tmp_path / "p.csv", ["path", "avg", "flag"], [(0, 1.5, 1), (1, -0.0, 0)])
+    rows = np.array([(0, 1.5, 1), (1, -0.0, 0)], dtype=float)  # as runner passes paths.csv
+    write_csv(tmp_path / "p.csv", ["path", "avg", "flag"], rows)
     assert (tmp_path / "p.csv").read_text() == "path,avg,flag\n0,1.5,1\n1,-0,0\n"
