@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     for name, chk in report.payload["checks"].items():
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {name}: value={chk['value']} tolerance={chk['tolerance']}")
+    for message in results["warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
     if "error" in results:
         kind = "configuration error" if report.exit_code == 2 else "numerical failure"
         print(f"{kind}: {results['error']}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .hamiltonian import (
     pure_power,
     quadratic_power_potential,
 )
-from .operators import STATE_CONSTRAINT
 from .simulate import SimParams
 
 # scenario -> the names of its stages, run in this order by ``runner.STAGES``
@@ -59,34 +58,19 @@ DEFAULTS: dict[str, Any] = {
         "value": 1.0,
         "name": "quartic_sine",
     },
-    "solver": {
-        "max_policy_iters": 200,
-        "eval_tolerance": 1e-10,
-        "lambda_tolerance": 1e-10,
-        "dirichlet_value": 1e6,
-        "eps_grad": 1e-12,
-        "control_tolerance": 1e-6,
-    },
+    "solver": {"max_policy_iters": 200, "eval_tolerance": 1e-10},
     "lp": {"xi_bound": None, "xi_count": 41},
     "sde": {
         "horizon": 200.0,
         "timestep": 1e-3,
         "n_paths": 8,
-        "burn_in": None,  # default: horizon / 10
         "x0": None,  # default: origin
         "workers": 1,
     },
-    "exhaust": {"radii": [3.0, 4.0, 5.0, 6.0], "boundary_mode": "dirichlet_big"},
+    "exhaust": {"radii": [3.0, 4.0, 5.0, 6.0]},
     "compare": {"multipliers": [1.0, 0.5, 2.0]},
-    "checks": {
-        "lp_gap": 0.05,
-        "fp_gap": 0.05,
-        "sim_sigmas": 3.0,
-        "sweep_size": 20,
-        "sweep_floor": -1e-8,
-        "identity_rel": 1e-6,
-    },
-    "output": {"directory": "out", "write_fields": True},
+    "checks": {"sim_sigmas": 3.0, "sweep_size": 20},
+    "output": {"directory": "out"},
 }
 
 
@@ -138,15 +122,20 @@ def _validate(cfg: dict) -> dict:
     if cfg["grid"]["radius"] < 4 * cfg["grid"]["spacing"]:
         raise ConfigError("'grid.radius' must be >= 4 * grid.spacing")
     _require_number(cfg, "model.gamma", low=1.0, message="'model.gamma' must exceed 1")
+    _require_number(cfg, "model.drift_amplitude")
     fam = cfg["potential"]["family"]
     if fam not in ("quadratic_power", "power_beta", "constant", "named"):
         raise ConfigError(f"'potential.family' unknown: {fam!r}")
     if fam == "power_beta":
         _require_number(cfg, "potential.beta", low=0.0)
+    _require_number(cfg, "checks.sim_sigmas", low=0.0)
+    size = cfg["checks"]["sweep_size"]
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ConfigError(f"'checks.sweep_size' must be an integer >= 1, got {size!r}")
     config = RunConfig(cfg)
     for section, build in (
+        ("potential", config.potential),
         ("solver", config.solver_options),
-        ("exhaust", lambda: config.solver_options(cfg["exhaust"]["boundary_mode"])),
         ("sde", config.sim_params),
     ):
         try:  # the constructors hold the range checks
@@ -154,8 +143,8 @@ def _validate(cfg: dict) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section!r}: {exc}") from exc
     radii = cfg["exhaust"]["radii"]
-    if not (isinstance(radii, list) and len(radii) >= 1):
-        raise ConfigError("'exhaust.radii' must be a non-empty list")
+    if not (isinstance(radii, list) and radii and all(type(r) in (int, float) for r in radii)):
+        raise ConfigError("'exhaust.radii' must be a non-empty list of numbers")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("'exhaust.radii' must be strictly increasing")
     if cfg["lp"]["xi_bound"] is not None:
@@ -171,6 +160,8 @@ def _validate(cfg: dict) -> dict:
             "'compare.multipliers' must list distinct numbers (to the 6 digits of"
             f" their report names), one of them 1.0, got {mults!r}"
         )
+    if not isinstance(cfg["output"]["directory"], str):
+        raise ConfigError("'output.directory' must be a path string")
     return cfg
 
 
@@ -197,24 +188,28 @@ class RunConfig:
             raise ConfigError(f"'grid': {exc}") from exc
 
     def model(self) -> HamiltonianModel:
-        m = self.raw["model"]
-        name = m["drift_name"]
-        amp = float(m["drift_amplitude"])
+        m, dim = self.raw["model"], self.raw["grid"]["dim"]
+        name, amp, vec = m["drift_name"], m["drift_amplitude"], m["drift_vector"]
+        if name not in ("none", "sine", "constant"):
+            raise ConfigError(f"'model.drift_name' must be none, sine or constant, got {name!r}")
+        # a drift parameter that the chosen drift does not read would be ignored
+        if amp != 0 and name != "sine":
+            raise ConfigError(f"'model.drift_amplitude' is read by the sine drift, not {name!r}")
+        if vec is not None and name != "constant":
+            raise ConfigError(f"'model.drift_vector' is read by the constant drift, not {name!r}")
         if name == "none":
-            return pure_power(m["gamma"], self.raw["solver"]["eps_grad"])
+            return pure_power(m["gamma"])
         if name == "sine":
             fn = lambda x: amp * np.sin(x)
-            bound = abs(amp) * np.sqrt(self.raw["grid"]["dim"])
-        elif name == "constant":
-            vec, dim = m["drift_vector"], self.raw["grid"]["dim"]
-            if not (isinstance(vec, list) and len(vec) == dim):
-                raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} components")
+            bound = abs(amp) * np.sqrt(dim)
+        else:
+            numbers = isinstance(vec, list) and all(type(v) in (int, float) for v in vec)
+            if not (numbers and len(vec) == dim):
+                raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} numbers")
             vec = np.asarray(vec, dtype=float)
             fn = lambda x: np.tile(vec, (x.shape[0], 1))
             bound = float(np.linalg.norm(vec))
-        else:
-            raise ConfigError(f"'model.drift_name' must be none, sine or constant, got {name!r}")
-        return drift_power(m["gamma"], fn, bound, self.raw["solver"]["eps_grad"])
+        return drift_power(m["gamma"], fn, bound)
 
     def potential(self) -> PotentialSpec:
         p = self.raw["potential"]
@@ -226,17 +221,13 @@ class RunConfig:
             return constant_potential(p["value"])
         return named_potential(p["name"])
 
-    def solver_options(self, boundary_mode: str = STATE_CONSTRAINT) -> SolverOptions:
-        """Solver options; every scenario but ``exhaust`` solves under the
-        state constraint, and ``exhaust`` passes ``exhaust.boundary_mode``."""
+    def solver_options(self) -> SolverOptions:
+        """Solver options under the state constraint; ``exhaust`` alone
+        replaces the closure."""
         s = self.raw["solver"]
         return SolverOptions(
-            max_policy_iters=int(s["max_policy_iters"]),
+            max_policy_iters=s["max_policy_iters"],
             eval_tolerance=float(s["eval_tolerance"]),
-            lambda_tolerance=float(s["lambda_tolerance"]),
-            boundary_mode=boundary_mode,
-            dirichlet_value=float(s["dirichlet_value"]),
-            control_tolerance=float(s["control_tolerance"]),
         )
 
     def sim_params(self) -> SimParams:
@@ -246,14 +237,13 @@ class RunConfig:
         wall = Grid(dim, g["radius"], g["spacing"], axis_half_width(g["radius"], g["spacing"])).wall
         if len(x0) != dim or not max(map(abs, x0)) <= wall:
             raise ValueError(f"x0 must list grid.dim = {dim} coordinates within +-{wall:g}")
-        burn = s["burn_in"] if s["burn_in"] is not None else s["horizon"] / 10.0
         return SimParams(
             horizon=float(s["horizon"]),
             timestep=float(s["timestep"]),
             n_paths=s["n_paths"],
             seed=self.seed,
             x0=x0,
-            burn_in=float(burn),
+            burn_in=float(s["horizon"]) / 10.0,
             workers=s["workers"],
         )
 

@@ -53,25 +53,27 @@ class SingularEvaluationError(RuntimeError):
     """The policy-evaluation system could not be solved to tolerance."""
 
 
+LAMBDA_TOLERANCE = 1e-10
+# Roundoff in the linear solves, amplified by the singular exponent of the
+# control map near Du = 0, floors successive control differences around 1e-7
+# in double precision, so demanding EPS_GRAD-level stationarity would never
+# terminate.
+CONTROL_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_policy_iters: int = 200
     eval_tolerance: float = 1e-10  # relative linear-solve residual
-    lambda_tolerance: float = 1e-10
     boundary_mode: str = STATE_CONSTRAINT
     dirichlet_value: float = 1e6
-    # Control stationarity threshold for the outer iteration.  Roundoff in
-    # the linear solves, amplified by the singular exponent of the control
-    # map near Du = 0, floors successive control differences around 1e-7 in
-    # double precision, so demanding eps_grad-level stationarity would never
-    # terminate.
-    control_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.max_policy_iters < 1:
-            raise ValueError("max_policy_iters must be at least 1")
-        if self.eval_tolerance <= 0 or self.lambda_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        iters = self.max_policy_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_policy_iters must be an integer >= 1, got {iters!r}")
+        if self.eval_tolerance <= 0:
+            raise ValueError("eval_tolerance must be positive")
         if self.boundary_mode not in (STATE_CONSTRAINT, DIRICHLET_BIG):
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
         if self.boundary_mode == DIRICHLET_BIG and not self.dirichlet_value > 0:
@@ -201,8 +203,8 @@ def solve_ergodic_hjb(
 ) -> ErgodicSolution:
     """Policy iteration from the zero control until lambda and the control settle.
 
-    Stops when |lambda_{k+1} - lambda_k| <= lambda_tolerance and the control
-    field moved by at most control_tolerance in the sup norm; returns the
+    Stops when |lambda_{k+1} - lambda_k| <= LAMBDA_TOLERANCE and the control
+    field moved by at most CONTROL_TOLERANCE in the sup norm; returns the
     best iterate flagged non-converged if the budget runs out.
     """
     fvals = potential.on_grid(grid)
@@ -236,8 +238,8 @@ def solve_ergodic_hjb(
             )
         if (
             lam_prev is not None
-            and abs(lam - lam_prev) <= opts.lambda_tolerance
-            and step <= opts.control_tolerance
+            and abs(lam - lam_prev) <= LAMBDA_TOLERANCE
+            and step <= CONTROL_TOLERANCE
         ):
             converged = True
             break

@@ -15,6 +15,7 @@ import numpy as np
 from .grid import Grid
 
 CONJUGATE_TOL = 1e-14
+EPS_GRAD = 1e-12  # optimal_control treats |p| <= EPS_GRAD as zero
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,6 @@ class HamiltonianModel:
     gamma_star: float
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: b = 0
     drift_bound: float = 0.0
-    eps_grad: float = 1e-12
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
         """b(x), shape (n, d); for b = 0 a read-only view of zeros that
@@ -37,7 +37,7 @@ class HamiltonianModel:
         return b
 
 
-def pure_power(gamma: float, eps_grad: float = 1e-12) -> HamiltonianModel:
+def pure_power(gamma: float) -> HamiltonianModel:
     """Hamiltonian |p|^gamma / gamma."""
     gamma = float(gamma)
     if not gamma > 1.0:
@@ -45,20 +45,19 @@ def pure_power(gamma: float, eps_grad: float = 1e-12) -> HamiltonianModel:
     gstar = gamma / (gamma - 1.0)
     if abs(1.0 / gamma + 1.0 / gstar - 1.0) > CONJUGATE_TOL:
         raise ValueError("conjugate exponent identity failed")
-    return HamiltonianModel(gamma, gstar, eps_grad=eps_grad)
+    return HamiltonianModel(gamma, gstar)
 
 
 def drift_power(
     gamma: float,
     drift: Callable[[np.ndarray], np.ndarray],
     drift_bound: float,
-    eps_grad: float = 1e-12,
 ) -> HamiltonianModel:
     """Hamiltonian b(x).p + |p|^gamma / gamma with sup|b| <= drift_bound."""
-    base = pure_power(gamma, eps_grad)
+    base = pure_power(gamma)
     if not np.isfinite(drift_bound):
         raise ValueError("drift bound must be finite")
-    return HamiltonianModel(base.gamma, base.gamma_star, drift, float(drift_bound), eps_grad)
+    return HamiltonianModel(base.gamma, base.gamma_star, drift, float(drift_bound))
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -82,13 +81,13 @@ def optimal_control(model: HamiltonianModel, x: np.ndarray, p: np.ndarray) -> np
     """Gradient of H in p: the maximizing control |p|^(g-2) p + b(x), shape (n, d).
 
     The power term is continuous at p = 0 for gamma > 1 and is set to zero
-    there; |p| below eps_grad is treated as zero to avoid overflow in the
+    there; |p| below EPS_GRAD is treated as zero to avoid overflow in the
     singular exponent when gamma < 2.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     mag = _norm(p)
-    safe = np.where(mag > model.eps_grad, mag, 1.0)
-    factor = np.where(mag > model.eps_grad, safe ** (model.gamma - 2.0), 0.0)
+    safe = np.where(mag > EPS_GRAD, mag, 1.0)
+    factor = np.where(mag > EPS_GRAD, safe ** (model.gamma - 2.0), 0.0)
     out = factor[..., None] * p
     out += model.drift_at(x)
     return out

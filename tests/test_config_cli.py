@@ -4,11 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergolab.grid
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
+from ergolab.eigensolver import SolverOptions, domain_exhaustion
 from ergolab.estimates import fit_hamiltonian_growth
 from ergolab.grid import build_grid
+from ergolab.hamiltonian import pure_power, quadratic_power_potential
 from ergolab.runner import STAGES, run_scenario
+from ergolab.serialize import write_csv
 
 
 def test_minimal_config_gets_defaults():
@@ -167,6 +171,76 @@ def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
     assert ("error" in payload["results"]) == (code in (2, 3))
 
 
+@pytest.mark.parametrize(
+    "sets, key",
+    [
+        (["model.drift_amplitude=0.5"], "model.drift_amplitude"),  # under none
+        (["model.drift_name=constant", "model.drift_vector=[0.3]", "model.drift_amplitude=0.5"],
+         "model.drift_amplitude"),
+        (["model.drift_vector=[0.3]"], "model.drift_vector"),  # under none
+        (["model.drift_name=sine", "model.drift_amplitude=0.5", "model.drift_vector=[0.3]"],
+         "model.drift_vector"),
+        (["model.drift_name=constant", 'model.drift_vector=["a"]'], "model.drift_vector"),
+    ],
+)
+def test_unread_drift_parameter_rejected(tmp_path, sets, key):
+    # each once gave the lambda of the drift without it, bit for bit
+    args = [arg for item in sets for arg in ("--set", item)]
+    assert main(["solve", "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == 2
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert f"'{key}'" in payload["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"potential": {"family": "constant", "value": 0.5}}', "'potential'"),
+        ('{"potential": {"family": "constant", "value": "abc"}}', "'potential'"),
+        ('{"potential": {"family": "named", "name": "bogus"}}', "'potential'"),
+        ('{"model": {"drift_name": "sine", "drift_amplitude": "abc"}}', "'model.drift_amplitude'"),
+        ('{"exhaust": {"radii": ["a", 4.0]}}', "'exhaust.radii'"),
+        ('{"output": {"directory": 5}}', "'output.directory'"),
+        ('{"solver": {"max_policy_iters": 2.5}}', "'solver'"),
+    ],
+)
+def test_kept_keys_checked_at_parse_time(text, key):
+    # each of these once crashed the run with a traceback and no summary,
+    # but the iteration budget, which int() truncated to 2
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+
+
+def test_warnings_recorded(tmp_path):
+    sets = ["--set", "potential.family=named", "--set", "potential.name=quartic_sine"]
+    for i, extra in enumerate(([], sets)):
+        assert main(["solve", "--out-dir", str(tmp_path / str(i))] + extra) == 0
+    warned = [
+        json.loads((tmp_path / str(i) / "summary.json").read_text())["results"]["warnings"]
+        for i in range(2)
+    ]
+    assert warned[0] == []
+    assert len(warned[1]) == 1 and "not increasing toward the boundary" in warned[1][0]
+
+
+def test_simulation_compared_with_richardson_lambda(tmp_path):
+    # at defaults seed 28 lies more than 3 standard errors from lambda_h but
+    # within them of 2 lambda_{h/2} - lambda_h
+    assert main(["simulate", "--out-dir", str(tmp_path), "--seed", "28"]) == 0
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    lam, sim = payload["results"]["solve"]["lambda"], payload["results"]["simulate"]
+    assert sim["lambda_reference"] == 2 * sim["lambda_refined"] - lam
+    check = payload["checks"]["simulation_matches_lambda"]
+    assert check["passed"] and check["value"] == abs(sim["mean"] - sim["lambda_reference"])
+    assert abs(sim["mean"] - lam) > check["tolerance"]
+
+
+def test_richardson_grid_over_node_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(ergolab.grid, "MAX_NODES", 100)  # 81 nodes at h, 161 at h/2
+    assert main(["simulate", "--out-dir", str(tmp_path)] + SOLVE_ARGS) == 2
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["exit_code"] == 2 and "'grid'" in payload["results"]["error"]
+
+
 def test_compare_reference_is_multiplier_one(tmp_path):
     # the order of compare.multipliers does not change which report is the
     # reference: every control's report is its own run on common noise
@@ -197,7 +271,11 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("simulate", "sde.horizon=0.05", "'sde'"),  # under 100 timesteps
         ("simulate", "sde.x0=[0.0,0.0]", "'sde'"),  # 1d grid
         ("compare", "compare.multipliers=[]", "'compare.multipliers'"),
-        ("exhaust", "exhaust.boundary_mode=reflecting", "'exhaust'"),
+        pytest.param(  # exhaust always pins its wall
+            "exhaust", "exhaust.boundary_mode=reflecting",
+            "unknown override path 'exhaust.boundary_mode'",
+            id="exhaust.boundary_mode-unknown",
+        ),
         ("simulate", "seed=-3", "'seed'"),
         ("solve", 'grid={"dim":2}', "'grid'"),  # a whole section
         ("simulate", "sde.n_paths=2.5", "'sde'"),
@@ -221,6 +299,30 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("compare", "compare.multipliers=[1.0,1]", "'compare.multipliers'"),  # a repeat
         ("compare", 'compare.multipliers=[1.0,"2"]', "'compare.multipliers'"),
         ("simulate", "sde.x0=[4.1]", "'sde'"),  # outside the wall
+        # settings with one value in use are constants now
+        *(
+            pytest.param(
+                command, f"{key}={value}", f"unknown override path '{key}'", id=f"{key}-unknown"
+            )
+            for command, key, value in (
+                ("solve", "solver.eps_grad", "1e-10"),
+                ("solve", "solver.lambda_tolerance", "1e-8"),
+                ("solve", "solver.control_tolerance", "1e-4"),
+                ("exhaust", "solver.dirichlet_value", "1e3"),
+                ("simulate", "sde.burn_in", "5.0"),
+                ("lp", "checks.lp_gap", "0.1"),
+                ("fokker_planck", "checks.fp_gap", "abc"),
+                ("full_verify", "checks.sweep_floor", "0.0"),
+                ("full_verify", "checks.identity_rel", "1e-3"),
+                ("solve", "output.write_fields", "false"),
+            )
+        ),
+        ("simulate", "checks.sim_sigmas=abc", "'checks.sim_sigmas'"),
+        ("simulate", "checks.sim_sigmas=0", "'checks.sim_sigmas'"),
+        ("full_verify", "checks.sweep_size=abc", "'checks.sweep_size'"),
+        ("full_verify", "checks.sweep_size=2.5", "'checks.sweep_size'"),
+        ("full_verify", "checks.sweep_size=0", "'checks.sweep_size'"),
+        ("full_verify", "checks.sweep_size=true", "'checks.sweep_size'"),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
@@ -263,6 +365,16 @@ def test_cli_exhaust_scenario(tmp_path):
     lines = (tmp_path / "exhaustion.csv").read_text().splitlines()
     assert lines[0] == "radius,lambda"
     assert len(lines) == 4
+
+
+def test_exhaust_pins_the_wall_at_the_default_value(tmp_path):
+    assert main(["exhaust", "--out-dir", str(tmp_path)]) == 0
+    radii = DEFAULTS["exhaust"]["radii"]
+    opts = SolverOptions(boundary_mode="dirichlet_big")  # dirichlet_value 1e6
+    seq = domain_exhaustion(pure_power(1.5), quadratic_power_potential(1.5), radii, 0.05, opts)
+    write_csv(tmp_path / "library.csv", ["radius", "lambda"], np.array(seq, dtype=float))
+    written = (tmp_path / "exhaustion.csv").read_bytes()
+    assert written == (tmp_path / "library.csv").read_bytes()
 
 
 FULL_ARGS = [
