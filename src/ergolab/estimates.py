@@ -166,10 +166,11 @@ def _gradient_ratio_constant(
 def _resolve_refined(
     solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
 ) -> ErgodicSolution:
-    """The same problem re-solved at half the spacing."""
+    """The same problem re-solved at half the spacing, with ``solution`` as
+    its coarse level."""
     grid = solution.grid
     fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
-    return solve_ergodic_hjb(fine, model, potential, SolverOptions())
+    return solve_ergodic_hjb(fine, model, potential, SolverOptions(), coarse=solution)
 
 
 def _stable(a: float, b: float) -> bool:

@@ -235,3 +235,24 @@ def fill_boundary_nearest(values: np.ndarray, grid: Grid) -> np.ndarray:
     boundary = np.flatnonzero(~grid.interior_mask)
     out[boundary] = out[grid.nearest_interior(boundary)]
     return out
+
+
+def bilinear(grid: Grid, field: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a 2d field of shape (N, k) at the rows of
+    ``x``; each coordinate is clamped at the wall, so a point beyond it reads
+    the wall's values."""
+    n = grid.nodes_per_axis
+    t = (x + grid.half_width * grid.spacing) / grid.spacing  # fractional index
+    tc = np.clip(t, 0.0, n - 1)  # a NaN row stays NaN
+    # fmax sends NaN to node 0 before the cast, so a non-finite row reads no
+    # wrapped index and comes back NaN through its weights
+    i0 = np.minimum(np.fmax(tc, 0.0).astype(np.int64), n - 2)
+    frac = tc - i0
+    idx = i0[:, 0] * n + i0[:, 1]
+    wa, wb = frac[:, 0:1], frac[:, 1:2]
+    return (
+        (1 - wa) * (1 - wb) * field.take(idx, axis=0)
+        + wa * (1 - wb) * field.take(idx + n, axis=0)
+        + (1 - wa) * wb * field.take(idx + 1, axis=0)
+        + wa * wb * field.take(idx + n + 1, axis=0)
+    )

@@ -173,7 +173,11 @@ def _solve(run: _Run) -> None:
         "converged": sol.converged,
         "residual_sup": sol.residual_sup,
         "lambda_history": sol.lambda_history,
-        "stats": {**sol.solver.stats(), "iterations": sol.iteration_stats},
+        "stats": {
+            **sol.solver.stats(),
+            "iterations": sol.iteration_stats,
+            "levels": sol.levels,
+        },
     }
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     du = gradient_inward_fallback(sol.u, grid)
@@ -258,7 +262,9 @@ def _simulate(run: _Run) -> None:
         fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
     except ValueError as exc:
         raise ConfigError(f"'grid': the h/2 re-solve of the simulate stage: {exc}") from exc
-    lam_half = solve_ergodic_hjb(fine, model, potential, run.config.solver_options()).lam
+    opts = run.config.solver_options()
+    # the solution at h is the re-solve's coarse level, not solved again
+    lam_half = solve_ergodic_hjb(fine, model, potential, opts, coarse=sol).lam
     reference = 2.0 * lam_half - sol.lam
     params = run.config.sim_params()
     rep = simulate_average(grid, sol.xi_u, model, potential, params, "xi_u")

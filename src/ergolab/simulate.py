@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, check_vector_field, fill_boundary_nearest
+from .grid import Grid, bilinear, check_vector_field, fill_boundary_nearest
 from .hamiltonian import HamiltonianModel, PotentialSpec
 
 _BLOCK = 4096
@@ -76,25 +76,6 @@ class ErgodicAverageReport:
         return float(self.path_averages[ok].std(ddof=1) / np.sqrt(n))
 
 
-def _bilinear(grid: Grid, field: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of a 2d control field at the rows of ``x`` (inside the wall)."""
-    n = grid.nodes_per_axis
-    t = (x + grid.half_width * grid.spacing) / grid.spacing  # fractional index
-    tc = np.clip(t, 0.0, n - 1)  # a NaN row stays NaN
-    # fmax sends NaN to node 0 before the cast, so a non-finite row reads no
-    # wrapped index and comes back NaN through its weights
-    i0 = np.minimum(np.fmax(tc, 0.0).astype(np.int64), n - 2)
-    frac = tc - i0
-    idx = i0[:, 0] * n + i0[:, 1]
-    wa, wb = frac[:, 0:1], frac[:, 1:2]
-    return (
-        (1 - wa) * (1 - wb) * field.take(idx, axis=0)
-        + wa * (1 - wb) * field.take(idx + n, axis=0)
-        + (1 - wa) * wb * field.take(idx + 1, axis=0)
-        + wa * wb * field.take(idx + n + 1, axis=0)
-    )
-
-
 def _run_paths(
     path_ids: np.ndarray,
     grid: Grid,
@@ -141,7 +122,7 @@ def _run_paths(
                 xi_col[:] = np.interp(x_col, axis, field_col)
                 xin = np.abs(xi_col)
             else:
-                xi = _bilinear(grid, field, X)
+                xi = bilinear(grid, field, X)
                 xin = np.sqrt(np.einsum("ij,ij->i", xi, xi))
             adm = xin**gs
             if drift is not None:  # the Lagrangian reads xi - b(X)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergolab.eigensolver
 import ergolab.grid
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
@@ -424,12 +425,55 @@ def test_full_verify_pipeline(tmp_path, capsys):
         "factorizations",
         "refinement_solves",
         "iterations",
+        "levels",
     }
     assert len(solve["stats"]["iterations"]) == solve["iterations"]
     for entry in solve["stats"]["iterations"]:
         assert set(entry) == {"lambda", "control_step", "residual"}
     assert 1 <= solve["stats"]["factorizations"] <= solve["iterations"]
+    # 81 nodes: too few for a coarse level below them
+    assert solve["stats"]["levels"] == []
     assert set(payload["results"]["fokker_planck"]["stats"]) == {"factorizations"}
+
+
+def test_2d_solve_reports_its_coarse_levels(tmp_path):
+    # 121^2 nodes; the 0.1 grid (61^2 = 3,721 nodes) is solved first and the
+    # 0.2 grid (961) is below the threshold
+    args = ["--set", "grid.dim=2", "--set", "grid.radius=3.0", "--set", "grid.spacing=0.05"]
+    assert main(["fokker_planck", "--out-dir", str(tmp_path)] + args) == 0
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    solve = payload["results"]["solve"]
+    (coarse,) = solve["stats"]["levels"]
+    assert set(coarse) == {"nodes", "iterations", "factorizations", "refinement_solves", "lambda"}
+    assert coarse["nodes"] == 61**2
+    assert coarse["iterations"] >= solve["iterations"]
+    assert coarse["factorizations"] >= 1
+    assert abs(coarse["lambda"] - solve["lambda"]) <= 0.01
+    assert solve["stats"]["factorizations"] == 1
+    assert payload["results"]["fokker_planck"]["stats"] == {"factorizations": 0}
+    assert payload["results"]["warnings"] == []
+
+
+def test_simulate_stage_solves_no_level_twice(tmp_path, monkeypatch):
+    # the solve stage's 61^2-node solution is the coarse level of the
+    # stage's h/2 re-solve, so that grid is evaluated in the solve stage only
+    evaluate = ergolab.eigensolver.policy_evaluation
+    evaluated = []
+
+    def counting(grid, *args):
+        evaluated.append(grid.num_nodes)
+        return evaluate(grid, *args)
+
+    monkeypatch.setattr(ergolab.eigensolver, "policy_evaluation", counting)
+    main([
+        "simulate", "--out-dir", str(tmp_path),
+        "--set", "grid.dim=2", "--set", "grid.radius=3.0", "--set", "grid.spacing=0.1",
+        "--set", "sde.horizon=1.0", "--set", "sde.n_paths=2",
+    ])
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert "error" not in payload["results"]
+    assert set(evaluated) == {61**2, 121**2}
+    assert evaluated.count(61**2) == payload["results"]["solve"]["iterations"]
 
 
 def test_full_verify_deterministic(tmp_path):

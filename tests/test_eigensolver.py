@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+import ergolab.eigensolver as eigensolver
 from ergolab.density import average_cost, stationary_density
 from ergolab.eigensolver import (
+    SingularEvaluationError,
     SolverOptions,
     domain_exhaustion,
     pde_residual,
@@ -116,6 +118,76 @@ def test_held_factor_that_stalls_is_replaced():
     tol = SolverOptions().eval_tolerance
     assert abs(lam - lam_fresh) <= tol
     assert np.abs(u - u_fresh).max() <= tol
+
+
+def test_coarse_start_matches_a_cold_solve(monkeypatch):
+    # 101^2 nodes: the 0.2 grid (51^2 = 2,601 nodes) is solved first, and the
+    # 0.4 grid (625) is below the threshold
+    g = build_grid(2, 5.0, 0.1)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    warm = solve_ergodic_hjb(g, model, pot)
+    assert [level["nodes"] for level in warm.levels] == [51**2]
+    assert warm.solver.factorizations == 1
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 10**9)
+    cold = solve_ergodic_hjb(g, model, pot)
+    assert cold.levels == []
+    assert warm.converged and cold.converged
+    assert warm.iterations < cold.iterations
+    assert abs(warm.lam - cold.lam) <= 1e-10
+    assert np.abs(warm.u - cold.u).max() <= 1e-9
+
+
+def test_1d_default_solve_has_no_coarse_level():
+    # 161 nodes, 81 at 2h: the zero-control start, and its lambda bit for bit
+    g = build_grid(1, 4.0, 0.05)
+    sol = solve_ergodic_hjb(g, pure_power(1.5), quadratic_power_potential(1.5))
+    assert sol.lam == 1.9908541025015336
+    assert sol.levels == []
+
+
+@pytest.mark.parametrize("failure", ["raises", "does_not_converge"])
+def test_failed_coarse_level_falls_back_to_the_zero_control(monkeypatch, failure):
+    # 101^2 nodes: the 0.2 grid (2,601 nodes) is a coarse level
+    g = build_grid(2, 5.0, 0.1)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    solve = eigensolver.solve_ergodic_hjb
+
+    def coarse_level(grid, *args, **kwargs):  # the recursive call goes here
+        warnings.warn("raised on a coarse level")
+        if failure == "raises":
+            raise SingularEvaluationError("coarse level")
+        sol = solve(grid, *args, **kwargs)
+        sol.converged = False
+        return sol
+
+    monkeypatch.setattr(eigensolver, "solve_ergodic_hjb", coarse_level)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve(g, model, pot)
+    assert caught == []
+    assert sol.levels == []
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 10**9)
+    cold = solve(g, model, pot)
+    assert sol.lam == cold.lam
+    assert np.array_equal(sol.u, cold.u)
+
+
+def test_pinned_wall_keeps_the_zero_control_start(monkeypatch):
+    # policy iteration under a pinned wall has more than one fixed point, and
+    # a coarse start would pick another one than the zero control does
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 200)
+    g = build_grid(2, 2.0, 0.1)  # 41^2 nodes, 21^2 at 2h and 11^2 at 4h
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    pinned = SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=1e6)
+    assert solve_ergodic_hjb(g, model, pot, pinned).levels == []
+    assert len(solve_ergodic_hjb(g, model, pot).levels) == 1
+
+
+def test_coarse_solution_must_be_on_the_2h_grid():
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    other = solve_ergodic_hjb(build_grid(2, 3.0, 0.2), model, pot)
+    with pytest.raises(ValueError, match="coarse solution"):
+        solve_ergodic_hjb(build_grid(2, 3.0, 0.05), model, pot, coarse=other)
 
 
 def test_policy_improvement_quadratic():

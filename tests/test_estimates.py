@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ergolab.eigensolver as eigensolver
 from ergolab.eigensolver import ErgodicSolution, solve_ergodic_hjb
 from ergolab.estimates import (
     EstimateReport,
@@ -165,6 +166,28 @@ def test_refinement_audits_resolve_the_drift_model():
     lower = check_value_lower_bounds(sol, model, pot)
     direct = check_value_lower_bounds(fine, model, pot, refine=False)
     assert lower.sweep[1] == direct.fitted_constant
+
+
+def test_refined_audits_solve_no_level_twice(monkeypatch):
+    # the audited 3,721-node solution is the h/2 re-solve's coarse level, so
+    # only the 14,641-node grid is evaluated, and the audits leave the
+    # solution its factor
+    g = build_grid(2, 3.0, 0.1)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    sol = solve_ergodic_hjb(g, model, pot)
+    fill = sol.solver.stats()["lu_fill"]
+    evaluate = eigensolver.policy_evaluation
+    evaluated = []
+
+    def counting(grid, *args):
+        evaluated.append(grid.num_nodes)
+        return evaluate(grid, *args)
+
+    monkeypatch.setattr(eigensolver, "policy_evaluation", counting)
+    check_gradient_bound(sol, model, pot, [0.5, 1.0])
+    check_value_lower_bounds(sol, model, pot)
+    assert evaluated and set(evaluated) == {121**2}
+    assert fill > 0 and sol.solver.stats()["lu_fill"] == fill
 
 
 def check_superquadratic_scaling(

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from ergolab.eigensolver import solve_ergodic_hjb
-from ergolab.grid import build_grid, fill_boundary_nearest
+from ergolab.grid import bilinear, build_grid, fill_boundary_nearest
 from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.simulate import (
     SimParams,
-    _bilinear,
     _run_paths,
     compare_controls,
     simulate_average,
@@ -167,14 +166,14 @@ def test_interpolation_inside_and_outside():
     ctrl[:, 1] = -g.coords[:, 0]
     field = fill_boundary_nearest(ctrl, g)
     pts = np.array([[0.3, -0.7], [1.1, 0.2], [-0.25, 0.25]])
-    vals = _bilinear(g, field, pts)
+    vals = bilinear(g, field, pts)
     # bilinear interpolation reproduces affine fields away from the filled
     # boundary layer
     assert np.allclose(vals[:, 0], pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
     assert np.allclose(vals[:, 1], -pts[:, 0], atol=1e-12)
     # on the wall, outside the interior nodes: the filled corner, which
     # copies the nearest interior node at (1.5, 1.5)
-    corner = _bilinear(g, field, np.array([[g.wall, g.wall]]))
+    corner = bilinear(g, field, np.array([[g.wall, g.wall]]))
     assert corner[0].tolist() == pytest.approx([1.5 + 2 * 1.5, -1.5])
 
 
@@ -185,9 +184,9 @@ def test_interpolation_keeps_a_nan_row_out_of_the_index_cast():
     with_nan = np.insert(pts, 1, [np.nan, 0.4], axis=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "invalid value encountered in cast"
-        vals = _bilinear(g, field, with_nan)
+        vals = bilinear(g, field, with_nan)
     assert np.isnan(vals[1]).all()
-    assert np.array_equal(np.delete(vals, 1, axis=0), _bilinear(g, field, pts))
+    assert np.array_equal(np.delete(vals, 1, axis=0), bilinear(g, field, pts))
 
 
 def test_ranking_and_pathwise(instance):
