@@ -34,11 +34,12 @@ SCENARIOS = {
     "exhaust": ("exhaust",),
     "lp": ("solve", "lp"),
     "fokker_planck": ("solve", "density"),
-    "simulate": ("solve", "simulate"),
+    "simulate": ("solve", "refine", "simulate"),
     "compare": ("solve", "compare"),
     "check": ("audit",),
     "full_verify": (
-        "solve", "density", "lp", "sweep", "simulate", "compare", "audit", "headline"
+        "solve", "density", "lp", "sweep", "refine", "simulate", "compare", "audit", "bounds",
+        "headline",
     ),
 }
 
@@ -54,9 +55,9 @@ DEFAULTS: dict[str, Any] = {
     },
     "potential": {
         "family": "quadratic_power",  # quadratic_power | power_beta | constant | named
-        "beta": 1.5,
-        "value": 1.0,
-        "name": "quartic_sine",
+        "beta": None,  # power_beta's exponent, 1.5 when null
+        "value": None,  # constant's value, 1.0 when null
+        "name": None,  # named's potential, quartic_sine when null
     },
     "solver": {"max_policy_iters": 200, "eval_tolerance": 1e-10},
     "lp": {"xi_bound": None, "xi_count": 41},
@@ -126,7 +127,12 @@ def _validate(cfg: dict) -> dict:
     fam = cfg["potential"]["family"]
     if fam not in ("quadratic_power", "power_beta", "constant", "named"):
         raise ConfigError(f"'potential.family' unknown: {fam!r}")
-    if fam == "power_beta":
+    # a parameter that the chosen family does not read would be ignored
+    read = {"power_beta": "beta", "constant": "value", "named": "name"}.get(fam)
+    for key in ("beta", "value", "name"):
+        if cfg["potential"][key] is not None and key != read:
+            raise ConfigError(f"'potential.{key}' is not read by the {fam!r} family")
+    if fam == "power_beta" and cfg["potential"]["beta"] is not None:
         _require_number(cfg, "potential.beta", low=0.0)
     _require_number(cfg, "checks.sim_sigmas", low=0.0)
     size = cfg["checks"]["sweep_size"]
@@ -216,10 +222,10 @@ class RunConfig:
         if p["family"] == "quadratic_power":
             return quadratic_power_potential(self.raw["model"]["gamma"])
         if p["family"] == "power_beta":
-            return power_beta_potential(p["beta"])
+            return power_beta_potential(1.5 if p["beta"] is None else p["beta"])
         if p["family"] == "constant":
-            return constant_potential(p["value"])
-        return named_potential(p["name"])
+            return constant_potential(1.0 if p["value"] is None else p["value"])
+        return named_potential("quartic_sine" if p["name"] is None else p["name"])
 
     def solver_options(self) -> SolverOptions:
         """Solver options under the state constraint; ``exhaust`` alone

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import ErgodicSolution, SolverOptions, solve_ergodic_hjb
-from .grid import Grid, build_grid, gradient_inward_fallback
+from .eigensolver import ErgodicSolution
+from .grid import Grid, gradient_inward_fallback
 from .hamiltonian import (
     HamiltonianModel,
     PotentialSpec,
@@ -114,22 +114,25 @@ def check_polynomial_envelope(potential: PotentialSpec, grid: Grid) -> EstimateR
     )
 
 
-def _ball_sup(values: np.ndarray, grid: Grid, centers: np.ndarray, radius: float) -> np.ndarray:
-    """Grid-sampled sup over Euclidean balls around the given node ids."""
-    coords = grid.coords
+def _ball_reduce(values: np.ndarray, grid: Grid, centers, radius, reduce) -> np.ndarray:
+    """``reduce`` (np.max or np.min) of values over the nodes within ``radius`` (one
+    number, or one per center) of each center node.  A node more than floor(r/h) + 1
+    steps from the center along an axis lies beyond r, so only that window is scanned."""
+    mesh = values.reshape(grid.shape)
+    coords = grid.coords.reshape(*grid.shape, grid.dim)
     out = np.empty(centers.size)
-    for k, cid in enumerate(centers):
-        d = np.linalg.norm(coords - coords[cid], axis=1)
-        out[k] = values[d <= radius + 1e-12].max()
+    for k, (cid, r) in enumerate(zip(centers, np.broadcast_to(radius, centers.shape))):
+        w = int(r / grid.spacing) + 1
+        window = tuple(slice(max(i - w, 0), i + w + 1) for i in np.unravel_index(cid, grid.shape))
+        d = np.linalg.norm(coords[window] - grid.coords[cid], axis=-1)
+        out[k] = reduce(mesh[window][d <= r + 1e-12])
     return out
 
 
 def _sample_centers(grid: Grid, margin: float, limit: int = 120) -> np.ndarray:
     r = np.linalg.norm(grid.coords, axis=1)
     ok = np.flatnonzero(grid.interior_mask & (r <= grid.radius - margin))
-    if ok.size > limit:
-        ok = ok[:: max(1, ok.size // limit)]
-    return ok
+    return ok[:: max(1, ok.size // limit)]  # stride 1, every id, up to limit ids
 
 
 def _gradient_ratio_constant(
@@ -149,11 +152,11 @@ def _gradient_ratio_constant(
         centers = _sample_centers(grid, 2 * r)
         if centers.size == 0:
             continue
-        lhs = _ball_sup(du, grid, centers, r)
-        fpart = _ball_sup(np.maximum(f - solution.lam, 0.0), grid, centers, 2 * r)
+        lhs = _ball_reduce(du, grid, centers, r, np.max)
+        fpart = _ball_reduce(np.maximum(f - solution.lam, 0.0), grid, centers, 2 * r, np.max)
         rhs = r ** (-1.0 / (gamma - 1.0)) + fpart ** (1.0 / gamma)
         if include_gradient_term:
-            dfpart = _ball_sup(df, grid, centers, 2 * r)
+            dfpart = _ball_reduce(df, grid, centers, 2 * r, np.max)
             rhs = rhs + dfpart ** (1.0 / (2.0 * gamma - 1.0))
         ratio = lhs / rhs
         k = int(np.argmax(ratio))
@@ -163,30 +166,18 @@ def _gradient_ratio_constant(
     return best, witness
 
 
-def _resolve_refined(
-    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
-) -> ErgodicSolution:
-    """The same problem re-solved at half the spacing, with ``solution`` as
-    its coarse level."""
-    grid = solution.grid
-    fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
-    return solve_ergodic_hjb(fine, model, potential, SolverOptions(), coarse=solution)
-
-
 def _stable(a: float, b: float) -> bool:
     hi = max(abs(a), abs(b))
-    if hi <= 1e-12:
-        return True
-    return abs(a - b) <= REFINE_BAND * hi
+    return hi <= 1e-12 or abs(a - b) <= REFINE_BAND * hi
 
 
 def check_gradient_bound(
     solution: ErgodicSolution,
+    refined: ErgodicSolution,
     model: HamiltonianModel,
     potential: PotentialSpec,
     radii: list,
     include_gradient_term: bool = True,
-    refine: bool = True,
 ) -> EstimateReport:
     """Audit the local gradient estimate sup_{B_r} |Du| against the scaled
     right-hand side r^(-1/(g-1)) + sup (f - lambda)_+^(1/g) + sup |Df|^(1/(2g-1)),
@@ -194,29 +185,19 @@ def check_gradient_bound(
 
     With include_gradient_term=False the |Df| term is dropped, the form valid
     once the potential satisfies the gradient-growth condition.  The constant
-    is refit on the half-spacing solve of the same instance; stability within
-    25% passes.
+    is refit on ``refined``, the same instance solved at half the spacing;
+    stability within 25% passes.
     """
-    gamma = model.gamma
-    c_h, witness = _gradient_ratio_constant(
-        solution, potential, radii, gamma, include_gradient_term
+    (c_h, witness), (c_half, _) = (
+        _gradient_ratio_constant(sol, potential, radii, model.gamma, include_gradient_term)
+        for sol in (solution, refined)
     )
-    if refine:
-        refined = _resolve_refined(solution, model, potential)
-        c_half, _ = _gradient_ratio_constant(
-            refined, potential, radii, gamma, include_gradient_term
-        )
-        sweep = [c_h, c_half]
-        passed = _stable(c_h, c_half)
-    else:
-        sweep = [c_h]
-        passed = True
     return EstimateReport(
         name="gradient_bound",
         fitted_constant=c_h,
         witness=witness,
-        passed=passed,
-        sweep=sweep,
+        passed=_stable(c_h, c_half),
+        sweep=[c_h, c_half],
         details={"radii": list(radii), "gradient_term": include_gradient_term},
     )
 
@@ -224,7 +205,6 @@ def check_gradient_bound(
 def _lower_bound_constants(
     solution: ErgodicSolution,
     potential: PotentialSpec,
-    gamma: float,
     kappa_exponent: float,
     scale_exponent: float,
 ) -> tuple[float, float, tuple, float]:
@@ -248,46 +228,32 @@ def _lower_bound_constants(
     fits = grid.interior_mask & (rnode + radius <= grid.radius - grid.spacing + 1e-12)
     centers = np.flatnonzero(fits)
     coverage = centers.size / grid.num_interior
-    if centers.size > 200:
-        centers = centers[:: max(1, centers.size // 200)]
-    kappa = np.inf
-    for cid in centers:
-        d = np.linalg.norm(grid.coords - grid.coords[cid], axis=1)
-        inf_u = u[d <= radius[cid] + 1e-12].min()
-        kappa = min(kappa, inf_u / f[cid] ** kappa_exponent)
+    centers = centers[:: max(1, centers.size // 200)]
+    inf_u = _ball_reduce(u, grid, centers, radius[centers], np.min)
+    # one scalar power per center: the array power rounds differently
+    kappa = min([low / fc**kappa_exponent for low, fc in zip(inf_u, f[centers])], default=np.inf)
     return m0, float(kappa), witness, coverage
 
 
 def check_value_lower_bounds(
     solution: ErgodicSolution,
+    refined: ErgodicSolution,
     model: HamiltonianModel,
     potential: PotentialSpec,
-    refine: bool = True,
 ) -> EstimateReport:
     """Audit the subquadratic lower-bound pair: |Du|^2/u <= M0 f, and
-    inf u over f^(-1/g*)-scaled balls >= kappa f^((g*-2)/g*)."""
-    gamma = model.gamma
+    inf u over f^(-1/g*)-scaled balls >= kappa f^((g*-2)/g*), refit on
+    ``refined``, the same instance solved at half the spacing."""
     gstar = model.gamma_star
-    m0, kappa, witness, coverage = _lower_bound_constants(
-        solution, potential, gamma, (gstar - 2.0) / gstar, -1.0 / gstar
-    )
-    if refine:
-        refined = _resolve_refined(solution, model, potential)
-        m0_half, kappa_half, _, _ = _lower_bound_constants(
-            refined, potential, gamma, (gstar - 2.0) / gstar, -1.0 / gstar
-        )
-        passed = _stable(m0, m0_half) and _stable(kappa, kappa_half) and kappa > 0
-        sweep = [m0, m0_half]
-    else:
-        kappa_half = kappa
-        passed = kappa > 0
-        sweep = [m0]
+    exponents = ((gstar - 2.0) / gstar, -1.0 / gstar)
+    m0, kappa, witness, coverage = _lower_bound_constants(solution, potential, *exponents)
+    m0_half, kappa_half, _, _ = _lower_bound_constants(refined, potential, *exponents)
     return EstimateReport(
         name="value_lower_bounds",
         fitted_constant=m0,
         witness=witness,
-        passed=passed,
-        sweep=sweep,
+        passed=_stable(m0, m0_half) and _stable(kappa, kappa_half) and kappa > 0,
+        sweep=[m0, m0_half],
         details={
             "kappa": kappa,
             "kappa_refined": kappa_half,

@@ -4,11 +4,11 @@ the run report with its pass/fail checks.
 ``config.SCENARIOS`` lists each scenario's stages in order, and ``STAGES``
 maps each stage name to one private function here. A run builds one
 ``_Run`` state and calls its stages in order; each stage reads what earlier
-stages left on the state (the solution, the control atoms, the LP problem
-and its measure) and adds its results, checks and artifacts. The loop
-records each stage's wall seconds under ``timing.stages``. Stages call the
-layer functions through this module's globals, so a tracer that replaces
-those globals sees every call.
+stages left on the state (the solutions at h and h/2, the control atoms,
+the LP problem and its measure) and adds its results, checks and artifacts.
+The loop records each stage's wall seconds under ``timing.stages``. Stages
+call the layer functions through this module's globals, so a tracer that
+replaces those globals sees every call.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from .eigensolver import (
     solve_ergodic_hjb,
 )
 from .estimates import (
+    check_gradient_bound,
     check_polynomial_envelope,
     check_potential_gradient_growth,
+    check_value_lower_bounds,
     fit_hamiltonian_growth,
 )
 from .grid import Grid, build_grid, gradient_inward_fallback
@@ -62,6 +64,8 @@ LP_GAP = 0.05
 FP_GAP = 0.05
 SWEEP_FLOOR = -1e-8
 IDENTITY_REL = 1e-6
+# ball radii of the a-priori gradient bound, as in acceptance criterion 9
+BOUND_RADII = (0.25, 0.5, 1.0)
 
 
 @dataclass
@@ -80,6 +84,7 @@ class _Run:
     checks: dict = field(default_factory=dict)
     seconds: dict = field(default_factory=dict)  # stage name -> wall seconds
     sol: ErgodicSolution | None = None
+    refined: ErgodicSolution | None = None  # the problem at h/2, without its factor
     atoms: np.ndarray | None = None
     problem: LPProblem | None = None
     measure: GridMeasure | None = None
@@ -163,11 +168,8 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     return RunReport(payload=payload, exit_code=code)
 
 
-def _solve(run: _Run) -> None:
-    config, grid, model, potential = run.config, run.grid, run.model, run.potential
-    opts = config.solver_options()
-    sol = run.sol = solve_ergodic_hjb(grid, model, potential, opts)
-    run.results["solve"] = {
+def _report_solution(sol: ErgodicSolution) -> dict:
+    return {
         "lambda": sol.lam,
         "iterations": sol.iterations,
         "converged": sol.converged,
@@ -179,6 +181,13 @@ def _solve(run: _Run) -> None:
             "levels": sol.levels,
         },
     }
+
+
+def _solve(run: _Run) -> None:
+    config, grid, model, potential = run.config, run.grid, run.model, run.potential
+    opts = config.solver_options()
+    sol = run.sol = solve_ergodic_hjb(grid, model, potential, opts)
+    run.results["solve"] = _report_solution(sol)
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     du = gradient_inward_fallback(sol.u, grid)
     residual = pointwise_residual(sol, model, potential)
@@ -253,24 +262,30 @@ def _sweep(run: _Run) -> None:
     )
 
 
+def _refine(run: _Run) -> None:
+    """The run's problem solved once more at half the spacing, from the solution
+    at h as its coarse level, for the Richardson reference and the estimate audits."""
+    try:  # the h/2 grid must fit the node limit too
+        fine = build_grid(run.grid.dim, run.grid.radius, run.grid.spacing / 2.0)
+    except ValueError as exc:
+        raise ConfigError(f"'grid': the h/2 re-solve of the refine stage: {exc}") from exc
+    opts = run.config.solver_options()
+    refined = run.refined = solve_ergodic_hjb(fine, run.model, run.potential, opts, coarse=run.sol)
+    run.results["refine"] = _report_solution(refined)
+    refined.solver.drop()  # no later stage solves on the h/2 grid
+
+
 def _simulate(run: _Run) -> None:
     grid, sol, model, potential = run.grid, run.sol, run.model, run.potential
     # Monte Carlo estimates the continuous cost, and lambda_h carries an O(h)
     # error; the Richardson value 2 lambda_{h/2} - lambda_h removes its first
     # order, so the check compares against that
-    try:  # the h/2 grid must fit the node limit too
-        fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
-    except ValueError as exc:
-        raise ConfigError(f"'grid': the h/2 re-solve of the simulate stage: {exc}") from exc
-    opts = run.config.solver_options()
-    # the solution at h is the re-solve's coarse level, not solved again
-    lam_half = solve_ergodic_hjb(fine, model, potential, opts, coarse=sol).lam
-    reference = 2.0 * lam_half - sol.lam
+    reference = 2.0 * run.refined.lam - sol.lam
     params = run.config.sim_params()
     rep = simulate_average(grid, sol.xi_u, model, potential, params, "xi_u")
     run.results["simulate"] = {
         **_report_sim(rep),
-        "lambda_refined": lam_half,
+        "lambda_refined": run.refined.lam,
         "lambda_reference": reference,
         "stats": {"path_steps": params.n_paths * params.n_steps},
     }
@@ -311,6 +326,15 @@ def _audit(run: _Run) -> None:
         "polynomial_envelope": vars(envelope),
     }
     run.check("potential_gradient_growth", audit.passed, audit.fitted_constant, "bounded sweep")
+
+
+def _bounds(run: _Run) -> None:
+    """The paper's a-priori estimates of u, a local gradient bound and lower
+    bounds over f-scaled balls, each fitted at h and refit at h/2."""
+    args = (run.sol, run.refined, run.model, run.potential)
+    for rep in (check_gradient_bound(*args, BOUND_RADII), check_value_lower_bounds(*args)):
+        run.results["estimates"][rep.name] = vars(rep)
+        run.check(rep.name, rep.passed, rep.sweep, "stable within 25% at h/2")
 
 
 def _headline(run: _Run) -> None:
@@ -355,9 +379,11 @@ STAGES = {
     "density": _density,
     "lp": _lp,
     "sweep": _sweep,
+    "refine": _refine,
     "simulate": _simulate,
     "compare": _compare,
     "audit": _audit,
+    "bounds": _bounds,
     "headline": _headline,
     "exhaust": _exhaust,
 }

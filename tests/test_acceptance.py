@@ -285,8 +285,9 @@ def test_criterion_9_estimate_audits():
     g = build_grid(1, 6.0, 0.02)
     pot = quadratic_power_potential(1.5)
     sol = solve_ergodic_hjb(g, pure_power(1.5), pot)
-    grad = check_gradient_bound(sol, pure_power(1.5), pot, [0.25, 0.5, 1.0])
-    lower = check_value_lower_bounds(sol, pure_power(1.5), pot)
+    refined = solve_ergodic_hjb(build_grid(1, 6.0, 0.01), pure_power(1.5), pot, coarse=sol)
+    grad = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0])
+    lower = check_value_lower_bounds(sol, refined, pure_power(1.5), pot)
     ok = (
         a1_power.passed
         and a1_exp.passed

@@ -8,10 +8,10 @@ import ergolab.eigensolver
 import ergolab.grid
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
-from ergolab.eigensolver import SolverOptions, domain_exhaustion
+from ergolab.eigensolver import SolverOptions, domain_exhaustion, solve_ergodic_hjb
 from ergolab.estimates import fit_hamiltonian_growth
 from ergolab.grid import build_grid
-from ergolab.hamiltonian import pure_power, quadratic_power_potential
+from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.runner import STAGES, run_scenario
 from ergolab.serialize import write_csv
 
@@ -71,6 +71,17 @@ def test_readme_default_block_is_the_defaults():
     section = readme[readme.index("### Configuration"):]
     block = section[section.index("```json") + len("```json"):]
     assert json.loads(block[: block.index("```")]) == DEFAULTS
+
+
+def test_readme_scenario_table_is_the_scenarios():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| scenario | stages |"):].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    listed = {
+        name.strip(" `"): tuple(stage.strip() for stage in stages.split("→"))
+        for name, stages in rows
+    }
+    assert listed == SCENARIOS
 
 
 def test_drift_vector_length_must_match_dim():
@@ -190,6 +201,37 @@ def test_unread_drift_parameter_rejected(tmp_path, sets, key):
     assert main(["solve", "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == 2
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert f"'{key}'" in payload["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "sets, key",
+    [
+        (["potential.beta=3.0"], "potential.beta"),  # under quadratic_power
+        (["potential.value=5.0"], "potential.value"),
+        (["potential.name=exp_abs"], "potential.name"),
+        (["potential.family=power_beta", "potential.value=5.0"], "potential.value"),
+        (["potential.family=constant", "potential.name=exp_abs"], "potential.name"),
+        (["potential.family=named", "potential.beta=3.0"], "potential.beta"),
+    ],
+)
+def test_unread_potential_parameter_rejected(tmp_path, capsys, sets, key):
+    # each of the first three once gave the default's lambda, bit for bit
+    args = [arg for item in sets for arg in ("--set", item)]
+    assert main(["solve", "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "family, key, value",
+    [("power_beta", "beta", 1.5), ("constant", "value", 1.0), ("named", "name", "quartic_sine")],
+)
+def test_null_potential_parameter_is_the_family_default(family, key, value):
+    given = parse_config(json.dumps({"potential": {"family": family, key: value}}))
+    null = parse_config(json.dumps({"potential": {"family": family}}))
+    assert null.raw["potential"][key] is None
+    x = build_grid(1, 4.0, 0.1).coords
+    assert np.array_equal(null.potential().values(x), given.potential().values(x))
 
 
 @pytest.mark.parametrize(
@@ -474,6 +516,50 @@ def test_simulate_stage_solves_no_level_twice(tmp_path, monkeypatch):
     assert "error" not in payload["results"]
     assert set(evaluated) == {61**2, 121**2}
     assert evaluated.count(61**2) == payload["results"]["solve"]["iterations"]
+
+
+def test_refine_stage_solves_the_run_problem(tmp_path):
+    # the h/2 solution is of the run's own model, and under its solver options
+    drift = ["--set", "model.drift_name=constant", "--set", "model.drift_vector=[0.5]"]
+    sde = ["--set", "sde.horizon=1.0", "--set", "sde.n_paths=2"]
+    capped = ["--set", "solver.max_policy_iters=2"]
+    refined = []
+    for i, extra in enumerate(([], capped)):
+        main(["simulate", "--out-dir", str(tmp_path / str(i))] + SOLVE_ARGS + drift + sde + extra)
+        payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
+        assert "error" not in payload["results"]
+        refined.append(payload["results"]["refine"])
+    model = drift_power(1.5, lambda x: np.full_like(x, 0.5), 0.5)
+    direct = solve_ergodic_hjb(build_grid(1, 4.0, 0.05), model, quadratic_power_potential(1.5))
+    assert refined[0]["lambda"] == direct.lam
+    assert refined[0]["iterations"] == direct.iterations > 2
+    assert refined[1]["iterations"] == 2 and not refined[1]["converged"]
+
+
+def test_refine_stage_solves_no_level_twice(tmp_path, monkeypatch):
+    # the h/2 grid is solved once in the whole run, by the refine stage, which
+    # leaves the solve stage's factor in place and releases its own
+    evaluate = ergolab.eigensolver.policy_evaluation
+    refine = STAGES["refine"]
+    evaluated, fills = [], []
+
+    def counting(grid, *args):
+        evaluated.append(grid.num_nodes)
+        return evaluate(grid, *args)
+
+    def refining(run):
+        fills.append(run.sol.solver.stats()["lu_fill"])
+        refine(run)
+        fills.extend([run.sol.solver.stats()["lu_fill"], run.refined.solver.stats()["lu_fill"]])
+
+    monkeypatch.setattr(ergolab.eigensolver, "policy_evaluation", counting)
+    monkeypatch.setitem(STAGES, "refine", refining)
+    assert main(["full_verify", "--out-dir", str(tmp_path)] + FULL_ARGS) == 0
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    assert set(evaluated) == {81, 161}
+    assert evaluated.count(161) == results["refine"]["iterations"] > 0
+    fill = results["solve"]["stats"]["lu_fill"]
+    assert fill > 0 and fills == [fill, fill, 0]
 
 
 def test_full_verify_deterministic(tmp_path):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-import ergolab.eigensolver as eigensolver
 from ergolab.eigensolver import ErgodicSolution, solve_ergodic_hjb
 from ergolab.estimates import (
     EstimateReport,
+    _ball_reduce,
     _lower_bound_constants,
     _radius_sweep_fit,
-    _resolve_refined,
     _stable,
     _sweep_passed,
     check_gradient_bound,
@@ -38,7 +37,8 @@ def manufactured(audit_grid):
     g = build_grid(1, 6.0, 0.02)
     pot = quadratic_power_potential(1.5)
     sol = solve_ergodic_hjb(g, pure_power(1.5), pot)
-    return g, pot, sol
+    refined = solve_ergodic_hjb(audit_grid, pure_power(1.5), pot, coarse=sol)
+    return g, pot, sol, refined
 
 
 def test_gradient_growth_passes_on_power_family(audit_grid):
@@ -104,8 +104,8 @@ def test_envelope_implies_gradient_growth(audit_grid):
 
 
 def test_gradient_bound_manufactured(manufactured):
-    g, pot, sol = manufactured
-    rep = check_gradient_bound(sol, pure_power(1.5), pot, [0.25, 0.5, 1.0])
+    g, pot, sol, refined = manufactured
+    rep = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0])
     assert rep.passed
     assert rep.fitted_constant > 0
     a, b = rep.sweep
@@ -113,25 +113,25 @@ def test_gradient_bound_manufactured(manufactured):
 
 
 def test_gradient_bound_without_gradient_term(manufactured):
-    g, pot, sol = manufactured
-    rep = check_gradient_bound(sol, pure_power(1.5), pot, [0.25, 0.5, 1.0],
+    g, pot, sol, refined = manufactured
+    rep = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0],
                                include_gradient_term=False)
     assert rep.passed
 
 
 def test_gradient_bound_constant_field(manufactured):
-    g, pot, sol = manufactured
+    g, pot, sol, refined = manufactured
     flat = ErgodicSolution(
         u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
         residual_sup=0.0, iterations=0, grid=g, converged=True,
     )
-    rep = check_gradient_bound(flat, pure_power(1.5), pot, [0.5], refine=False)
+    rep = check_gradient_bound(flat, flat, pure_power(1.5), pot, [0.5])
     assert rep.fitted_constant == 0.0
 
 
 def test_value_lower_bounds_manufactured(manufactured):
-    g, pot, sol = manufactured
-    rep = check_value_lower_bounds(sol, pure_power(1.5), pot)
+    g, pot, sol, refined = manufactured
+    rep = check_value_lower_bounds(sol, refined, pure_power(1.5), pot)
     assert rep.passed
     assert rep.details["kappa"] > 0
     assert rep.details["coverage"] > 0.5
@@ -143,51 +143,34 @@ def test_value_lower_bounds_trivial_instance():
         u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
         residual_sup=0.0, iterations=0, grid=g, converged=True,
     )
-    rep = check_value_lower_bounds(
-        flat, pure_power(1.5), constant_potential(1.0), refine=False
-    )
+    rep = check_value_lower_bounds(flat, flat, pure_power(1.5), constant_potential(1.0))
     assert rep.fitted_constant == 0.0
     assert rep.details["kappa"] == pytest.approx(1.0)
 
 
-def test_refinement_audits_resolve_the_drift_model():
-    # the half-spacing re-solve must be of the run's own model; the driftless
-    # problem's gradient constant differs by more than the 25% band
-    g = build_grid(1, 4.0, 0.04)
-    model = drift_power(1.5, lambda x: np.full_like(x, 0.5), 0.5)
-    pot = quadratic_power_potential(1.5)
-    sol = solve_ergodic_hjb(g, model, pot)
-    fine = solve_ergodic_hjb(build_grid(1, 4.0, 0.02), model, pot)
-    radii = [0.25, 0.5, 1.0]
-    grad = check_gradient_bound(sol, model, pot, radii)
-    direct = check_gradient_bound(fine, model, pot, radii, refine=False)
-    assert grad.sweep[1] == direct.fitted_constant
-    assert grad.passed
-    lower = check_value_lower_bounds(sol, model, pot)
-    direct = check_value_lower_bounds(fine, model, pot, refine=False)
-    assert lower.sweep[1] == direct.fitted_constant
+def _ball_reduce_full_scan(values, grid, centers, radius, reduce):
+    """The reference: every node of the grid tested against each ball."""
+    out = []
+    for cid, r in zip(centers, np.broadcast_to(radius, centers.shape)):
+        d = np.linalg.norm(grid.coords - grid.coords[cid], axis=1)
+        out.append(reduce(values[d <= r + 1e-12]))
+    return np.array(out)
 
 
-def test_refined_audits_solve_no_level_twice(monkeypatch):
-    # the audited 3,721-node solution is the h/2 re-solve's coarse level, so
-    # only the 14,641-node grid is evaluated, and the audits leave the
-    # solution its factor
-    g = build_grid(2, 3.0, 0.1)
-    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
-    sol = solve_ergodic_hjb(g, model, pot)
-    fill = sol.solver.stats()["lu_fill"]
-    evaluate = eigensolver.policy_evaluation
-    evaluated = []
-
-    def counting(grid, *args):
-        evaluated.append(grid.num_nodes)
-        return evaluate(grid, *args)
-
-    monkeypatch.setattr(eigensolver, "policy_evaluation", counting)
-    check_gradient_bound(sol, model, pot, [0.5, 1.0])
-    check_value_lower_bounds(sol, model, pot)
-    assert evaluated and set(evaluated) == {121**2}
-    assert fill > 0 and sol.solver.stats()["lu_fill"] == fill
+@pytest.mark.parametrize("reduce", [np.max, np.min])
+@pytest.mark.parametrize("dim, half_width, spacing", [(1, 30, 0.1), (2, 12, 0.1), (2, 8, 0.25)])
+def test_ball_window_matches_full_scan(dim, half_width, spacing, reduce):
+    g = build_grid(dim, half_width * spacing, spacing)
+    values = np.random.default_rng(dim).standard_normal(g.num_nodes)
+    n, last = g.nodes_per_axis, g.num_nodes - 1
+    beside_wall = g.origin_id - (half_width - 1) * g.axis_strides[0]  # axis index 1
+    centers = np.array([g.origin_id, beside_wall, 0, last, n - 1, g.origin_id + 3])
+    # multiples of h (0.25 is exact on the 0.25 grid), radii between grid
+    # steps, one past the whole box, and one radius per center
+    per_center = np.array([0.3, 0.45, 0.25, 1.0, 0.6, 0.2])
+    for radius in (spacing, 2 * spacing, 3 * spacing, 0.25, 0.37, 0.5, 1.04, 50.0, per_center):
+        window = _ball_reduce(values, g, centers, radius, reduce)
+        assert np.array_equal(window, _ball_reduce_full_scan(values, g, centers, radius, reduce))
 
 
 def check_superquadratic_scaling(
@@ -208,9 +191,10 @@ def check_superquadratic_scaling(
 
     kexp = gamma / (3.0 * gamma - 2.0)
     sexp = (1.0 - gamma) / (3.0 * gamma - 2.0)
-    _, kappa, _, coverage = _lower_bound_constants(solution, potential, gamma, kexp, sexp)
-    refined = _resolve_refined(solution, model, potential)
-    _, kappa_half, _, _ = _lower_bound_constants(refined, potential, gamma, kexp, sexp)
+    _, kappa, _, coverage = _lower_bound_constants(solution, potential, kexp, sexp)
+    fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
+    refined = solve_ergodic_hjb(fine, model, potential, coarse=solution)
+    _, kappa_half, _, _ = _lower_bound_constants(refined, potential, kexp, sexp)
     passed = _sweep_passed(sweep) and _stable(kappa, kappa_half) and kappa > 0
     return EstimateReport(
         name="superquadratic_scaling",
@@ -238,7 +222,7 @@ def test_superquadratic_audit():
 
 
 def test_superquadratic_rejects_subquadratic(manufactured):
-    g, pot, sol = manufactured
+    g, pot, sol, refined = manufactured
     with pytest.raises(ValueError):
         check_superquadratic_scaling(sol, pure_power(1.5), pot)
 
