@@ -66,7 +66,6 @@ DEFAULTS: dict[str, Any] = {
         "timestep": 1e-3,
         "n_paths": 8,
         "x0": None,  # default: origin
-        "workers": 1,
     },
     "exhaust": {"radii": [3.0, 4.0, 5.0, 6.0]},
     "compare": {"multipliers": [1.0, 0.5, 2.0]},
@@ -140,12 +139,15 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"'checks.sweep_size' must be an integer >= 1, got {size!r}")
     config = RunConfig(cfg)
     for section, build in (
+        ("model", config.model),
         ("potential", config.potential),
         ("solver", config.solver_options),
         ("sde", config.sim_params),
     ):
         try:  # the constructors hold the range checks
             build()
+        except ConfigError:  # already names its key path
+            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section!r}: {exc}") from exc
     radii = cfg["exhaust"]["radii"]
@@ -207,15 +209,13 @@ class RunConfig:
             return pure_power(m["gamma"])
         if name == "sine":
             fn = lambda x: amp * np.sin(x)
-            bound = abs(amp) * np.sqrt(dim)
         else:
             numbers = isinstance(vec, list) and all(type(v) in (int, float) for v in vec)
             if not (numbers and len(vec) == dim):
                 raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} numbers")
             vec = np.asarray(vec, dtype=float)
             fn = lambda x: np.tile(vec, (x.shape[0], 1))
-            bound = float(np.linalg.norm(vec))
-        return drift_power(m["gamma"], fn, bound)
+        return drift_power(m["gamma"], fn)
 
     def potential(self) -> PotentialSpec:
         p = self.raw["potential"]
@@ -250,7 +250,6 @@ class RunConfig:
             seed=self.seed,
             x0=x0,
             burn_in=float(s["horizon"]) / 10.0,
-            workers=s["workers"],
         )
 
 
@@ -272,9 +271,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
 def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:
     """Apply one --set key=value override with a dotted path and validate."""
-    node = copy.deepcopy(config.raw)
-    _set_path(node, dotted, value)
-    return RunConfig(_validate(node))
+    return parse_config(json.dumps(config.raw), [(dotted, value)])
 
 
 def _set_path(node: dict, dotted: str, value: str) -> None:

@@ -34,9 +34,6 @@ class DensityField:
     rho: np.ndarray  # (N,), zero on the boundary layer
     grid: Grid
 
-    def mass(self) -> float:
-        return float(self.rho.sum() * self.grid.spacing**self.grid.dim)
-
 
 def stationary_density(
     grid: Grid, control: np.ndarray, solver: BorderedSolver | None = None
@@ -105,11 +102,7 @@ class GridMeasure:
     weights: sparse.csr_matrix  # (num_nodes, num_atoms)
     xi_atoms: np.ndarray  # (num_atoms, d)
     grid: Grid
-    clipped: int = 0  # nodes whose control fell outside the atom hull
     info: Optional[dict] = None
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     def x_marginal(self) -> np.ndarray:
         return np.asarray(self.weights.sum(axis=1)).ravel()
@@ -119,10 +112,8 @@ def pair_measure(
     density: DensityField, control: np.ndarray, xi_atoms: np.ndarray
 ) -> GridMeasure:
     """Lift a density to the product grid: mass rho(x) h^d at the atom nearest
-    to control(x).
-
-    Controls outside the axis-aligned hull of the atoms are clipped to the
-    nearest atom and counted.
+    to control(x), which is the nearest end atom for a control outside
+    the atoms' hull.
     """
     grid = density.grid
     control = check_vector_field(control, grid)
@@ -134,21 +125,12 @@ def pair_measure(
     support = np.flatnonzero(density.rho > 0)
     tree = cKDTree(xi_atoms)
     _, nearest = tree.query(control[support])
-    lo, hi = xi_atoms.min(axis=0), xi_atoms.max(axis=0)
-    outside = np.any(
-        (control[support] < lo - 1e-12) | (control[support] > hi + 1e-12), axis=1
-    )
     hd = grid.spacing**grid.dim
     weights = sparse.csr_matrix(
         (density.rho[support] * hd, (support, nearest)),
         shape=(grid.num_nodes, xi_atoms.shape[0]),
     )
-    return GridMeasure(
-        weights=weights,
-        xi_atoms=xi_atoms,
-        grid=grid,
-        clipped=int(outside.sum()),
-    )
+    return GridMeasure(weights=weights, xi_atoms=xi_atoms, grid=grid)
 
 
 def average_cost(

@@ -52,6 +52,7 @@ from .hamiltonian import (
 )
 from .operators import (
     DIRICHLET_BIG,
+    DIRICHLET_VALUE,
     STATE_CONSTRAINT,
     BorderedSolver,
     assemble_generator,
@@ -81,7 +82,6 @@ class SolverOptions:
     max_policy_iters: int = 200
     eval_tolerance: float = 1e-10  # relative linear-solve residual
     boundary_mode: str = STATE_CONSTRAINT
-    dirichlet_value: float = 1e6
 
     def __post_init__(self):
         iters = self.max_policy_iters
@@ -91,8 +91,6 @@ class SolverOptions:
             raise ValueError("eval_tolerance must be positive")
         if self.boundary_mode not in (STATE_CONSTRAINT, DIRICHLET_BIG):
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
-        if self.boundary_mode == DIRICHLET_BIG and not self.dirichlet_value > 0:
-            raise ValueError("dirichlet_big requires a positive dirichlet_value")
 
 
 @dataclass
@@ -104,7 +102,6 @@ class ErgodicSolution:
     iterations: int
     grid: Grid
     converged: bool
-    lambda_history: list = field(default_factory=list)
     # per iteration: lambda, sup control step and evaluation residual
     iteration_stats: list = field(default_factory=list)
     # holds the last evaluation's factor for the density's transposed solve
@@ -138,9 +135,7 @@ def policy_evaluation(
     """
     cost = check_scalar_field(cost, grid)
     control = check_vector_field(control, grid)
-    A, rhs_bnd = assemble_generator(
-        grid, control, opts.boundary_mode, opts.dirichlet_value
-    )
+    A, rhs_bnd = assemble_generator(grid, control, opts.boundary_mode)
     nint = grid.num_interior
     b = np.concatenate([cost[grid.interior_ids] + rhs_bnd, [0.0]])
     solver = BorderedSolver() if solver is None else solver
@@ -158,7 +153,7 @@ def policy_evaluation(
     u = np.zeros(grid.num_nodes)
     u[grid.interior_ids] = sol[:nint]
     if opts.boundary_mode == DIRICHLET_BIG:
-        u[~grid.interior_mask] = opts.dirichlet_value
+        u[~grid.interior_mask] = DIRICHLET_VALUE
         return u, float(sol[nint])
     return fill_boundary_nearest(u, grid), float(sol[nint])
 
@@ -342,7 +337,6 @@ def solve_ergodic_hjb(
         iterations=iterations,
         grid=grid,
         converged=converged,
-        lambda_history=[entry["lambda"] for entry in iteration_stats],
         iteration_stats=iteration_stats,
         solver=solver,
         levels=levels,

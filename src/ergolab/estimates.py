@@ -24,6 +24,8 @@ from .hamiltonian import (
 
 SWEEP_GROWTH_LIMIT = 1.5  # bounded-constant criterion over radius sweeps
 REFINE_BAND = 0.25  # +-25% stability between h and h/2
+CENTER_LIMIT = 120  # the gradient bound's ball centers, about this many per radius
+GROWTH_SAMPLES = 4096  # points in the growth-constant sample cloud
 
 
 @dataclass
@@ -129,10 +131,10 @@ def _ball_reduce(values: np.ndarray, grid: Grid, centers, radius, reduce) -> np.
     return out
 
 
-def _sample_centers(grid: Grid, margin: float, limit: int = 120) -> np.ndarray:
+def _sample_centers(grid: Grid, margin: float) -> np.ndarray:
     r = np.linalg.norm(grid.coords, axis=1)
     ok = np.flatnonzero(grid.interior_mask & (r <= grid.radius - margin))
-    return ok[:: max(1, ok.size // limit)]  # stride 1, every id, up to limit ids
+    return ok[:: max(1, ok.size // CENTER_LIMIT)]  # stride 1, every id, up to the limit
 
 
 def _gradient_ratio_constant(
@@ -262,15 +264,13 @@ def check_value_lower_bounds(
     )
 
 
-def fit_hamiltonian_growth(
-    model: HamiltonianModel, dim: int, seed: int = 0, n_samples: int = 4096
-) -> dict:
+def fit_hamiltonian_growth(model: HamiltonianModel, dim: int, seed: int = 0) -> dict:
     """Fitted finite constants for the two-sided power growth of H, D_p H and
     the conjugate's gradient over a random sample cloud in dimension dim."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-5, 5, size=(n_samples, dim))
-    p = rng.standard_normal((n_samples, dim)) * rng.uniform(0.1, 8, (n_samples, 1))
-    xi = rng.standard_normal((n_samples, dim)) * rng.uniform(0.1, 8, (n_samples, 1))
+    x = rng.uniform(-5, 5, size=(GROWTH_SAMPLES, dim))
+    p = rng.standard_normal((GROWTH_SAMPLES, dim)) * rng.uniform(0.1, 8, (GROWTH_SAMPLES, 1))
+    xi = rng.standard_normal((GROWTH_SAMPLES, dim)) * rng.uniform(0.1, 8, (GROWTH_SAMPLES, 1))
     g, gs = model.gamma, model.gamma_star
     pn = np.linalg.norm(p, axis=1)
     xin = np.linalg.norm(xi, axis=1)

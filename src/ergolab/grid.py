@@ -188,13 +188,6 @@ def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return ((dplus - dminus).sum(axis=-1) / grid.spacing).ravel()
 
 
-def gradient_central(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered first differences (D- + D+) / 2 on interior nodes; zero on the
-    boundary."""
-    dminus, dplus = _differences(values, grid)
-    return (0.5 * (dminus + dplus)).reshape(grid.num_nodes, grid.dim)
-
-
 def gradient_inward_fallback(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient for control extraction: centered inside, one-sided at walls.
 

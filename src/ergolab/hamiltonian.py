@@ -23,7 +23,6 @@ class HamiltonianModel:
     gamma: float
     gamma_star: float
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: b = 0
-    drift_bound: float = 0.0
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
         """b(x), shape (n, d); for b = 0 a read-only view of zeros that
@@ -48,16 +47,10 @@ def pure_power(gamma: float) -> HamiltonianModel:
     return HamiltonianModel(gamma, gstar)
 
 
-def drift_power(
-    gamma: float,
-    drift: Callable[[np.ndarray], np.ndarray],
-    drift_bound: float,
-) -> HamiltonianModel:
-    """Hamiltonian b(x).p + |p|^gamma / gamma with sup|b| <= drift_bound."""
+def drift_power(gamma: float, drift: Callable[[np.ndarray], np.ndarray]) -> HamiltonianModel:
+    """Hamiltonian b(x).p + |p|^gamma / gamma with a bounded drift b."""
     base = pure_power(gamma)
-    if not np.isfinite(drift_bound):
-        raise ValueError("drift bound must be finite")
-    return HamiltonianModel(base.gamma, base.gamma_star, drift, float(drift_bound))
+    return HamiltonianModel(base.gamma, base.gamma_star, drift)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -122,7 +115,6 @@ class PotentialSpec:
     family: str
     value_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
-    params: dict
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -154,7 +146,6 @@ def quadratic_power_potential(gamma: float) -> PotentialSpec:
         "quadratic_power",
         lambda x: 1.0 + _norm(x) ** gamma / gamma,
         lambda x: _power_grad(x, gamma, 1.0 / gamma),
-        {"gamma": gamma},
     )
 
 
@@ -167,7 +158,6 @@ def power_beta_potential(beta: float) -> PotentialSpec:
         "power_beta",
         lambda x: 1.0 + _norm(x) ** beta,
         lambda x: _power_grad(x, beta, 1.0),
-        {"beta": beta},
     )
 
 
@@ -179,7 +169,6 @@ def constant_potential(value: float) -> PotentialSpec:
         "constant",
         lambda x: np.full(x.shape[0], value),
         lambda x: np.zeros_like(x),
-        {"value": value},
     )
 
 
@@ -216,7 +205,7 @@ def named_potential(name: str) -> PotentialSpec:
     if name not in _NAMED:
         raise ValueError(f"unknown potential {name!r}; options: {sorted(_NAMED)}")
     val, grad = _NAMED[name]
-    return PotentialSpec("named", val, grad, {"name": name})
+    return PotentialSpec("named", val, grad)
 
 
 def running_cost(

@@ -70,8 +70,6 @@ def uniform_xi_atoms(bound: float, count: int, dim: int) -> np.ndarray:
         raise ValueError("atom count must be odd and >= 3 so that 0 is an atom")
     axis = np.linspace(-bound, bound, count)
     axis[count // 2] = 0.0
-    if dim == 1:
-        return axis[:, None]
     mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -191,7 +189,6 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
         weights=weights,
         xi_atoms=problem.xi_atoms,
         grid=problem.grid,
-        clipped=0,
         info={
             "primal_feasibility": float(primal),
             "complementarity": float(comp),

@@ -16,8 +16,8 @@ Closures at the one-node boundary layer:
   floating point too, for any order of summation.
 
 * ``dirichlet``: full centered/upwind stencils; legs hitting the boundary
-  multiply a pinned value M and are returned as a right-hand-side
-  contribution.
+  multiply the pinned value ``DIRICHLET_VALUE`` (M = 1e6) and are returned
+  as a right-hand-side contribution.
 
 ``BorderedSolver`` solves the one system [[A, 1], [e_origin^T, 0]] that
 policy evaluation solves for (u, lambda) and whose transpose gives the
@@ -41,20 +41,19 @@ from .grid import Grid
 
 STATE_CONSTRAINT = "state_constraint"
 DIRICHLET_BIG = "dirichlet_big"
+DIRICHLET_VALUE = 1e6  # the pinned boundary value M of ``dirichlet_big``
 
 
 def assemble_generator(
     grid: Grid,
     control: np.ndarray,
     boundary_mode: str = STATE_CONSTRAINT,
-    dirichlet_value: float = 0.0,
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Build the interior operator matrix for -Lap + control . D (upwind).
 
     Args:
         control: drift per node, shape (N, d) or (N_interior, d).
         boundary_mode: one of ``state_constraint`` or ``dirichlet_big``.
-        dirichlet_value: pinned boundary value M for ``dirichlet_big``.
 
     Returns:
         (A, rhs) with A of shape (N_int, N_int) acting on interior values and
@@ -112,7 +111,7 @@ def assemble_generator(
             diag[inn] += coef[inn]
             if dirichlet:
                 diag[out] += coef[out]
-                rhs[out] += coef[out] * dirichlet_value
+                rhs[out] += coef[out] * DIRICHLET_VALUE
             else:
                 # the diffusion leg is dropped; the advection leg becomes the
                 # inward difference on the opposite side, sign-reversed

@@ -174,7 +174,6 @@ def _report_solution(sol: ErgodicSolution) -> dict:
         "iterations": sol.iterations,
         "converged": sol.converged,
         "residual_sup": sol.residual_sup,
-        "lambda_history": sol.lambda_history,
         "stats": {
             **sol.solver.stats(),
             "iterations": sol.iteration_stats,
@@ -272,6 +271,7 @@ def _refine(run: _Run) -> None:
     opts = run.config.solver_options()
     refined = run.refined = solve_ergodic_hjb(fine, run.model, run.potential, opts, coarse=run.sol)
     run.results["refine"] = _report_solution(refined)
+    run.check("refine_converged", refined.converged, refined.iterations, opts.max_policy_iters)
     refined.solver.drop()  # no later stage solves on the h/2 grid
 
 
@@ -282,7 +282,7 @@ def _simulate(run: _Run) -> None:
     # order, so the check compares against that
     reference = 2.0 * run.refined.lam - sol.lam
     params = run.config.sim_params()
-    rep = simulate_average(grid, sol.xi_u, model, potential, params, "xi_u")
+    rep = simulate_average(grid, sol.xi_u, model, potential, params)
     run.results["simulate"] = {
         **_report_sim(rep),
         "lambda_refined": run.refined.lam,

@@ -15,6 +15,7 @@ from .grid import Grid
 
 
 _CHUNK_ROWS = 256  # rows formatted at once: bounds what the writer adds to peak RSS
+MEASURE_FLOOR = 1e-14  # measure.csv leaves out pairs of weight at most this
 
 
 def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
@@ -49,13 +50,13 @@ def write_field_csv(path: Path, grid: Grid, columns: dict[str, np.ndarray]) -> N
     write_csv(path, header, data)
 
 
-def write_measure_csv(path: Path, measure, threshold: float = 1e-14) -> None:
+def write_measure_csv(path: Path, measure) -> None:
     grid = measure.grid
     header = [f"x{a}" for a in range(grid.dim)]
     header += [f"xi{a}" for a in range(grid.dim)]
     header += ["weight"]
     coo = measure.weights.tocoo()
-    keep = coo.data > threshold
+    keep = coo.data > MEASURE_FLOOR
     rows = np.hstack(
         [
             grid.coords[coo.row[keep]],

@@ -3,9 +3,10 @@
 Paths follow dX = -xi(X) dt + sqrt(2) dW by Euler-Maruyama, mirrored at the
 grid's wall: the reflected diffusion the grid routes solve on the box.  Each
 path owns an RNG stream spawned from (seed, path index), increments come in
-fixed blocks, and reductions run in path order, so reports are bitwise
-reproducible for any chunking.  Path p draws the same increments under every
-control, so `compare_controls` ranks its controls on common random numbers.
+fixed blocks, and every reduction is per path, so path p's statistics are
+bitwise the same among any number of paths.  Path p draws the same increments
+under every control, so `compare_controls` ranks its controls on common
+random numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .grid import Grid, bilinear, check_vector_field, fill_boundary_nearest
 from .hamiltonian import HamiltonianModel, PotentialSpec
 
 _BLOCK = 4096
+PATHWISE_SIGMAS = 5.0  # slack of pathwise_dominates, in competitor standard errors
 
 
 @dataclass(frozen=True)
@@ -29,17 +31,15 @@ class SimParams:
     seed: int
     x0: tuple = (0.0,)
     burn_in: float = 0.0
-    workers: int = 1  # path-id chunks, run one after another
 
     def __post_init__(self):
         if not self.timestep > 0:
             raise ValueError("timestep must be positive")
         if self.horizon < 100 * self.timestep:
             raise ValueError("horizon must be at least 100 timesteps")
-        for key in ("n_paths", "workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        n = self.n_paths
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_paths must be an integer >= 1, got {n!r}")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
 
@@ -50,7 +50,6 @@ class SimParams:
 
 @dataclass
 class ErgodicAverageReport:
-    name: str
     path_averages: np.ndarray  # time-average of F over [burn_in, T] per path
     half_averages: np.ndarray  # time-average of F over [T/2, T] per path
     admissibility: np.ndarray  # integral of |xi|^g* dt over [0, T] per path
@@ -77,15 +76,14 @@ class ErgodicAverageReport:
 
 
 def _run_paths(
-    path_ids: np.ndarray,
     grid: Grid,
     field: np.ndarray,
     model: HamiltonianModel,
     potential: PotentialSpec,
     params: SimParams,
 ) -> dict:
-    """Integrate paths ``path_ids`` under the boundary-filled control ``field``;
-    returns each per-path statistic keyed by its report field."""
+    """Integrate the paths under the boundary-filled control ``field``; returns
+    each per-path statistic keyed by its report field."""
     dt = params.timestep
     n_steps = params.n_steps
     burn_idx = int(round(params.burn_in / dt))
@@ -93,9 +91,9 @@ def _run_paths(
     quarter_idx = n_steps // 4
     wall = grid.wall
 
-    P, dim = path_ids.size, grid.dim
-    streams = np.random.SeedSequence(params.seed).spawn(params.n_paths)
-    gens = [np.random.Generator(np.random.PCG64(streams[i])) for i in path_ids]
+    P, dim = params.n_paths, grid.dim
+    streams = np.random.SeedSequence(params.seed).spawn(P)
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in streams]
 
     X = np.tile(np.asarray(params.x0, dtype=float), (P, 1))
     if X.shape[1] != dim or not np.abs(X).max() <= wall:
@@ -165,21 +163,17 @@ def simulate_average(
     model: HamiltonianModel,
     potential: PotentialSpec,
     params: SimParams,
-    name: str = "control",
 ) -> ErgodicAverageReport:
     """Ergodic average of the running cost under a Markov feedback control.
 
     The control field is extended to the boundary layer by its nearest
     interior value before interpolation.  Paths reflect at the grid's wall;
     a path whose state turns non-finite is flagged and excluded from the
-    summary statistics.  The path ids are split into ``params.workers``
-    chunks run one after another.
+    summary statistics.
     """
     field = fill_boundary_nearest(check_vector_field(control, grid), grid)
-    chunks = np.array_split(np.arange(params.n_paths), min(params.workers, params.n_paths))
-    parts = [_run_paths(ids, grid, field, model, potential, params) for ids in chunks]
-    stats = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    return ErgodicAverageReport(name=name, params=params, **stats)
+    stats = _run_paths(grid, field, model, potential, params)
+    return ErgodicAverageReport(params=params, **stats)
 
 
 @dataclass
@@ -187,9 +181,9 @@ class ComparisonReport:
     reports: dict = field(default_factory=dict)  # name -> ErgodicAverageReport
     order: list = field(default_factory=list)  # names ranked by mean, NaN last
 
-    def pathwise_dominates(self, reference: str, slack_sigmas: float = 5.0) -> bool:
+    def pathwise_dominates(self, reference: str) -> bool:
         """True when the reference's half-window average beats every competitor
-        path by path, within slack_sigmas standard errors (common noise)."""
+        path by path, within ``PATHWISE_SIGMAS`` standard errors (common noise)."""
         ref = self.reports[reference]
         for name, rep in self.reports.items():
             if name == reference:
@@ -197,7 +191,7 @@ class ComparisonReport:
             ok = ~(ref.diverged | rep.diverged)
             if not ok.any():
                 continue
-            slack = slack_sigmas * rep.standard_error
+            slack = PATHWISE_SIGMAS * rep.standard_error
             if np.any(ref.half_averages[ok] > rep.half_averages[ok] + slack):
                 return False
         return True
@@ -214,7 +208,7 @@ def compare_controls(
     if not controls or len({name for name, _ in controls}) < len(controls):
         raise ValueError("need at least one control, and distinct names")
     reports = {
-        name: simulate_average(grid, ctrl, model, potential, params, name)
+        name: simulate_average(grid, ctrl, model, potential, params)
         for name, ctrl in controls
     }
     order = sorted(

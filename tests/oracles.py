@@ -1,11 +1,39 @@
 """Reference constructions shared by several test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import sparse
 
 from ergolab.density import DensityField, GridMeasure
-from ergolab.grid import Grid, check_scalar_field, check_vector_field, gradient_central
+from ergolab.grid import Grid, _differences, check_scalar_field, check_vector_field
 from ergolab.hamiltonian import PotentialSpec
+from ergolab.simulate import simulate_average
+
+PATH_ARRAYS = (
+    "path_averages", "half_averages", "admissibility", "admissibility_ratio", "diverged"
+)
+
+
+def gradient_central(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Centered first differences (D- + D+) / 2 on interior nodes; zero on the
+    boundary."""
+    dminus, dplus = _differences(values, grid)
+    return (0.5 * (dminus + dplus)).reshape(grid.num_nodes, grid.dim)
+
+
+def path_count_mismatches(grid, control, model, potential, params, counts=(1, 2, 4, 7)):
+    """(n, statistic) pairs where the first n paths of a run among
+    ``params.n_paths`` paths differ in any bit from a run among n paths."""
+    full = simulate_average(grid, control, model, potential, params)
+    mismatches = []
+    for n in counts:
+        part = simulate_average(grid, control, model, potential, replace(params, n_paths=n))
+        for key in PATH_ARRAYS:
+            a, b = getattr(part, key), getattr(full, key)[:n]
+            if not np.array_equal(a, b, equal_nan=key != "diverged"):
+                mismatches.append((n, key))
+    return mismatches
 
 
 def exact_pair_measure(density: DensityField, control: np.ndarray) -> GridMeasure:
@@ -19,7 +47,7 @@ def exact_pair_measure(density: DensityField, control: np.ndarray) -> GridMeasur
         (density.rho[support] * hd, (support, np.arange(support.size))),
         shape=(grid.num_nodes, support.size),
     )
-    return GridMeasure(weights=weights, xi_atoms=atoms, grid=grid, clipped=0)
+    return GridMeasure(weights=weights, xi_atoms=atoms, grid=grid)
 
 
 def tabulated_potential(grid: Grid, values: np.ndarray) -> PotentialSpec:
@@ -45,5 +73,4 @@ def tabulated_potential(grid: Grid, values: np.ndarray) -> PotentialSpec:
         "tabulated",
         lambda x: values[lookup_ids(x)],
         lambda x: grads[lookup_ids(x)],
-        {"grid": grid},
     )

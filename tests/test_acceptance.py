@@ -41,8 +41,8 @@ from ergolab.measure_lp import (
     solve_lp,
     uniform_xi_atoms,
 )
-from ergolab.simulate import SimParams, compare_controls, simulate_average
-from oracles import exact_pair_measure
+from ergolab.simulate import SimParams, compare_controls
+from oracles import exact_pair_measure, path_count_mismatches
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -204,7 +204,7 @@ def test_criterion_6_simulation():
         ok &= abs(rep.mean - oracle) <= 3 * rep.standard_error
         ok &= rep.mean - 2.0 > 3 * rep.standard_error
         detail.append(f"{name} mean={rep.mean:.4f} oracle={oracle:.4f}")
-    ok &= comp.pathwise_dominates("xi_u", slack_sigmas=5.0)
+    ok &= comp.pathwise_dominates("xi_u")  # within 5 standard errors
     detail.append("pathwise 5SE ordering holds")
     ratio = float(np.mean(rep_opt.admissibility_ratio[~rep_opt.diverged]))
     ok &= abs(ratio - 1.0) <= 0.10
@@ -215,7 +215,7 @@ def test_criterion_6_simulation():
 def test_criterion_7_domain_exhaustion():
     model = pure_power(1.5)
     pot = quadratic_power_potential(1.5)
-    opts = SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=1e6)
+    opts = SolverOptions(boundary_mode="dirichlet_big")  # pinned at M = 1e6
     seq = domain_exhaustion(model, pot, [3.0, 4.0, 5.0, 6.0], 0.02, opts)
     lams = [lam for _, lam in seq]
     noninc = all(b <= a + 1e-8 for a, b in zip(lams, lams[1:]))
@@ -236,7 +236,7 @@ def test_criterion_8_duality_suite():
         pure_power(1.5),
         pure_power(2.0),
         pure_power(3.0),
-        drift_power(2.0, lambda x: np.sin(x), np.sqrt(2.0)),
+        drift_power(2.0, lambda x: np.sin(x)),
     ]
     n = 2000
     min_gap = np.inf
@@ -314,7 +314,6 @@ def test_criterion_10_determinism(tmp_path):
         "--set", "lp.xi_count=21",
         "--set", "sde.horizon=20.0",
         "--set", "sde.n_paths=4",
-        "--set", "sde.workers=2",
         "--set", "checks.sweep_size=3",
         "--set", "checks.sim_sigmas=6.0",
         "--seed", "17",
@@ -331,22 +330,23 @@ def test_criterion_10_determinism(tmp_path):
         for name in ("fields.csv", "density.csv", "measure.csv", "paths.csv")
     )
 
-    # parallel Monte Carlo reproducibility at the API level
-    grid = build_grid(1, 4.0, 0.1)
-    model = pure_power(1.5)
+    # at the API level, path p's statistics are the same bits among 8 paths
+    # as among 1, 2, 4 or 7, in 1d and in 2d with the sine drift
     pot = quadratic_power_potential(1.5)
-    sol = solve_ergodic_hjb(grid, model, pot)
-    p1 = SimParams(horizon=5.0, timestep=1e-3, n_paths=8, seed=5, burn_in=1.0, workers=1)
-    p4 = SimParams(horizon=5.0, timestep=1e-3, n_paths=8, seed=5, burn_in=1.0, workers=4)
-    r1 = simulate_average(grid, sol.xi_u, model, pot, p1)
-    r4 = simulate_average(grid, sol.xi_u, model, pot, p4)
-    same_parallel = np.array_equal(r1.path_averages, r4.path_averages) and np.array_equal(
-        r1.admissibility, r4.admissibility
-    )
-    ok = code_a == 0 and code_b == 0 and same_json and same_files and same_parallel
+    mismatches = []
+    for grid, model in (
+        (build_grid(1, 4.0, 0.1), pure_power(1.5)),
+        (build_grid(2, 2.0, 0.2), drift_power(1.5, lambda x: 0.5 * np.sin(x))),
+    ):
+        sol = solve_ergodic_hjb(grid, model, pot)
+        params = SimParams(
+            horizon=5.0, timestep=1e-3, n_paths=8, seed=5, burn_in=1.0, x0=(0.0,) * grid.dim
+        )
+        mismatches += path_count_mismatches(grid, sol.xi_u, model, pot, params)
+    ok = code_a == 0 and code_b == 0 and same_json and same_files and not mismatches
     report(
         "criterion 10 (bitwise determinism)",
         ok,
         f"report identical={same_json}, artifacts identical={same_files}, "
-        f"parallel paths identical={same_parallel}",
+        f"path-count mismatches={mismatches}",
     )

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import ergolab.eigensolver
 import ergolab.grid
+import ergolab.runner
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
 from ergolab.eigensolver import SolverOptions, domain_exhaustion, solve_ergodic_hjb
@@ -84,19 +87,27 @@ def test_readme_scenario_table_is_the_scenarios():
     assert listed == SCENARIOS
 
 
+def test_readme_names_only_config_keys():
+    # every `section.key` span of a config section names a key of DEFAULTS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sections = {name for name, value in DEFAULTS.items() if isinstance(value, dict)}
+    spans = re.findall(r"`(\w+)\.(\w+)(?![\w.])", readme)
+    named = [(section, key) for section, key in spans if section in sections]
+    assert named, "no config keys found"
+    assert [f"{s}.{k}" for s, k in named if k not in DEFAULTS[s]] == []
+
+
 def test_drift_vector_length_must_match_dim():
-    cfg = parse_config('{"model": {"drift_name": "constant"}}')
+    text = '{"model": {"drift_name": "constant"}}'
     with pytest.raises(ConfigError, match="model.drift_vector"):
-        cfg.model()
+        parse_config(text)
     with pytest.raises(ConfigError, match="model.drift_vector"):
-        apply_override(cfg, "model.drift_vector", "[0.3, 0.1]").model()
+        parse_config(text, [("model.drift_vector", "[0.3, 0.1]")])  # a 1d grid
     # the check does not depend on the order of the overrides
-    overrides = {"model.drift_vector": "[0.3, 0.1]", "grid.dim": "2"}
-    for order in (list(overrides), list(reversed(overrides))):
-        cfg2 = cfg
-        for key in order:
-            cfg2 = apply_override(cfg2, key, overrides[key])
-        assert cfg2.model().drift_at(np.zeros(2)).tolist() == [[0.3, 0.1]]
+    overrides = [("model.drift_vector", "[0.3, 0.1]"), ("grid.dim", "2")]
+    for order in (overrides, overrides[::-1]):
+        cfg = parse_config(text, order)
+        assert cfg.model().drift_at(np.zeros(2)).tolist() == [[0.3, 0.1]]
 
 
 def test_growth_constants_for_1d_constant_drift():
@@ -168,12 +179,12 @@ def test_cli_config_error_exit_code(tmp_path):
     [
         (0, "solve", []),
         (1, "solve", ["--set", "solver.max_policy_iters=1"]),
-        (2, "solve", ["--set", "model.drift_name=constant"]),  # no drift_vector
+        (2, "solve", ["--set", "grid.spacing=1e-7"]),  # 1d over MAX_NODES
         (2, "solve", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # over MAX_NODES
         (2, "exhaust", ["--set", "grid.dim=2", "--set", "exhaust.radii=[3.0,200.0]"]),  # ditto
         (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
         (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
-        (2, "check", ["--set", "model.drift_name=constant"]),  # check builds the model too
+        (2, "check", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # check builds it too
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
@@ -195,12 +206,12 @@ def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
         (["model.drift_name=constant", 'model.drift_vector=["a"]'], "model.drift_vector"),
     ],
 )
-def test_unread_drift_parameter_rejected(tmp_path, sets, key):
+def test_unread_drift_parameter_rejected(tmp_path, capsys, sets, key):
     # each once gave the lambda of the drift without it, bit for bit
     args = [arg for item in sets for arg in ("--set", item)]
     assert main(["solve", "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == 2
-    payload = json.loads((tmp_path / "summary.json").read_text())
-    assert f"'{key}'" in payload["results"]["error"]
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -322,8 +333,10 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("simulate", "seed=-3", "'seed'"),
         ("solve", 'grid={"dim":2}', "'grid'"),  # a whole section
         ("simulate", "sde.n_paths=2.5", "'sde'"),
-        ("simulate", "sde.workers=2.7", "'sde'"),
-        ("simulate", "sde.workers=0", "'sde'"),
+        # the model is built at parse time, as the potential is
+        ("solve", "model.drift_name=foo", "'model.drift_name'"),
+        ("solve", "model.drift_amplitude=0.5", "'model.drift_amplitude'"),  # under none
+        ("solve", "model.drift_name=constant", "'model.drift_vector'"),  # none for 1d
         pytest.param(  # a deleted key
             "simulate", "sde.safety_factor=-1", "unknown override path 'sde.safety_factor'",
             id="sde.safety_factor=-1-unknown",
@@ -353,6 +366,7 @@ def test_tied_keys_independent_of_override_order(tmp_path):
                 ("solve", "solver.control_tolerance", "1e-4"),
                 ("exhaust", "solver.dirichlet_value", "1e3"),
                 ("simulate", "sde.burn_in", "5.0"),
+                ("simulate", "sde.workers", "2"),
                 ("lp", "checks.lp_gap", "0.1"),
                 ("fokker_planck", "checks.fp_gap", "abc"),
                 ("full_verify", "checks.sweep_floor", "0.0"),
@@ -413,7 +427,7 @@ def test_cli_exhaust_scenario(tmp_path):
 def test_exhaust_pins_the_wall_at_the_default_value(tmp_path):
     assert main(["exhaust", "--out-dir", str(tmp_path)]) == 0
     radii = DEFAULTS["exhaust"]["radii"]
-    opts = SolverOptions(boundary_mode="dirichlet_big")  # dirichlet_value 1e6
+    opts = SolverOptions(boundary_mode="dirichlet_big")  # pinned at M = 1e6
     seq = domain_exhaustion(pure_power(1.5), quadratic_power_potential(1.5), radii, 0.05, opts)
     write_csv(tmp_path / "library.csv", ["radius", "lambda"], np.array(seq, dtype=float))
     written = (tmp_path / "exhaustion.csv").read_bytes()
@@ -453,6 +467,20 @@ def test_full_verify_pipeline(tmp_path, capsys):
     for name in ("measure.csv", "density.csv", "paths.csv", "fields.csv"):
         assert (tmp_path / name).exists()
     assert set(payload["timing"]["stages"]) == set(SCENARIOS["full_verify"])
+    assert set(payload["checks"]) == {
+        "solver_converged",
+        "fp_cost_matches_lambda",
+        "lp_matches_policy_iteration",
+        "minimizer_near_optimal_control",
+        "excess_cost_nonnegative",
+        "excess_identity_consistent",
+        "refine_converged",
+        "simulation_matches_lambda",
+        "optimal_control_ranks_first",
+        "potential_gradient_growth",
+        "gradient_bound",
+        "value_lower_bounds",
+    }
     # controls x paths x steps: one control in simulate, three in compare
     path_steps = {"simulate": 4 * 40_000, "compare": 3 * 4 * 40_000}
     assert set(payload["timing"]["path_steps_per_s"]) == set(path_steps)
@@ -529,11 +557,29 @@ def test_refine_stage_solves_the_run_problem(tmp_path):
         payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
         assert "error" not in payload["results"]
         refined.append(payload["results"]["refine"])
-    model = drift_power(1.5, lambda x: np.full_like(x, 0.5), 0.5)
+    model = drift_power(1.5, lambda x: np.full_like(x, 0.5))
     direct = solve_ergodic_hjb(build_grid(1, 4.0, 0.05), model, quadratic_power_potential(1.5))
     assert refined[0]["lambda"] == direct.lam
     assert refined[0]["iterations"] == direct.iterations > 2
     assert refined[1]["iterations"] == 2 and not refined[1]["converged"]
+
+
+def test_refine_stage_declares_its_convergence(tmp_path, monkeypatch):
+    # only the h/2 solve runs out of iterations, and the run fails on the
+    # refine stage's own check instead of passing lambda_{h/2} on unflagged
+    solve = ergolab.runner.solve_ergodic_hjb
+
+    def capped(grid, model, potential, opts, coarse=None):
+        if coarse is not None:  # the refine stage's solve
+            opts = replace(opts, max_policy_iters=2)
+        return solve(grid, model, potential, opts, coarse=coarse)
+
+    monkeypatch.setattr(ergolab.runner, "solve_ergodic_hjb", capped)
+    sde = ["--set", "sde.horizon=1.0", "--set", "sde.n_paths=2", "--set", "checks.sim_sigmas=1e6"]
+    assert main(["simulate", "--out-dir", str(tmp_path)] + SOLVE_ARGS + sde) == 1
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert [name for name, c in checks.items() if not c["passed"]] == ["refine_converged"]
+    assert checks["refine_converged"] == {"passed": False, "value": 2, "tolerance": 200}
 
 
 def test_refine_stage_solves_no_level_twice(tmp_path, monkeypatch):
@@ -592,6 +638,11 @@ def test_standalone_scenarios(tmp_path, scenario):
     key = {"lp": "lp", "simulate": "simulate", "compare": "compare"}[scenario]
     assert key in payload["results"]
     assert set(payload["timing"]["stages"]) == set(SCENARIOS[scenario])
+    assert set(payload["checks"]) == {
+        "lp": {"solver_converged", "lp_matches_policy_iteration", "minimizer_near_optimal_control"},
+        "simulate": {"solver_converged", "refine_converged", "simulation_matches_lambda"},
+        "compare": {"solver_converged", "optimal_control_ranks_first"},
+    }[scenario]
     if scenario == "lp":
         stats = payload["results"]["lp"]["stats"]
         assert stats["columns"] == 81 * 21

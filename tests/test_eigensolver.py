@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ergolab.eigensolver as eigensolver
+import ergolab.operators as operators
 from ergolab.density import average_cost, stationary_density
 from ergolab.eigensolver import (
     SingularEvaluationError,
@@ -93,7 +94,6 @@ def test_one_factor_serves_several_evaluations():
     stats = sol.solver.stats()
     assert sol.converged
     assert 1 <= stats["factorizations"] < sol.iterations
-    assert [it["lambda"] for it in sol.iteration_stats] == sol.lambda_history
     # the same iterations with a fresh factor in every evaluation
     fvals = pot.on_grid(g)
     control = np.zeros((g.num_nodes, 2))
@@ -178,7 +178,7 @@ def test_pinned_wall_keeps_the_zero_control_start(monkeypatch):
     monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 200)
     g = build_grid(2, 2.0, 0.1)  # 41^2 nodes, 21^2 at 2h and 11^2 at 4h
     model, pot = pure_power(1.5), quadratic_power_potential(1.5)
-    pinned = SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=1e6)
+    pinned = SolverOptions(boundary_mode="dirichlet_big")
     assert solve_ergodic_hjb(g, model, pot, pinned).levels == []
     assert len(solve_ergodic_hjb(g, model, pot).levels) == 1
 
@@ -234,15 +234,17 @@ def test_lambda_sequence_nonincreasing(manufactured_1d):
     # centered-gradient improvement admits one O(h * step) bump near
     # convergence, so the slack is 1e-7 rather than the linear-solve residual
     _, _, _, sol = manufactured_1d
-    h = sol.lambda_history
+    h = [it["lambda"] for it in sol.iteration_stats]
     slack = 1e-7 * (1 + abs(sol.lam))
     assert all(h[i + 1] <= h[i] + slack for i in range(1, len(h) - 1))
 
 
-def test_boundary_modes_agree(manufactured_1d):
+def test_boundary_modes_agree(manufactured_1d, monkeypatch):
     g, model, pot, sol = manufactured_1d
-    for M in (1e3, 1e6):
-        opts = SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=M)
+    opts = SolverOptions(boundary_mode="dirichlet_big")
+    for M in (1e3, 1e6):  # a pinned value far below the shipped M = 1e6 too
+        monkeypatch.setattr(operators, "DIRICHLET_VALUE", M)
+        monkeypatch.setattr(eigensolver, "DIRICHLET_VALUE", M)
         lam_d = solve_ergodic_hjb(g, model, pot, opts).lam
         assert abs(lam_d - sol.lam) <= 10 * g.spacing
 
@@ -328,7 +330,7 @@ def test_exhaustion_constant_potential_decreases_to_value():
     # confinement premium decaying like 1/R^2, approaching 1 from above
     model = pure_power(2.0)
     pot = constant_potential(1.0)
-    opts = SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=1e6)
+    opts = SolverOptions(boundary_mode="dirichlet_big")
     seq = domain_exhaustion(model, pot, [3.0, 4.0, 5.0, 6.0], 0.05, opts)
     lams = [lam for _, lam in seq]
     assert all(lam >= 1.0 - 1e-9 for lam in lams)
@@ -350,7 +352,5 @@ def test_solver_options_validation():
         SolverOptions(eval_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverOptions(boundary_mode="reflecting")
-    with pytest.raises(ValueError):
-        SolverOptions(boundary_mode="dirichlet_big", dirichlet_value=-1.0)
     with pytest.raises(ValueError, match="max_policy_iters"):
         SolverOptions(max_policy_iters=0)

@@ -230,6 +230,7 @@ def test_superquadratic_rejects_subquadratic(manufactured):
 def check_drift_boundary_perturbation(
     model: HamiltonianModel,
     gamma: float,
+    drift_bound: float,
     radius: float = 1.0,
     dim: int = 1,
     n_samples: int = 10_000,
@@ -238,13 +239,13 @@ def check_drift_boundary_perturbation(
     """Check that the drift term is a small perturbation of the pure power
     near the box boundary: |b(x).xi| <= eps (|xi|^g + dist(x, boundary)^-g*)
     whenever dist < delta(eps), with delta = C^(-(g-1)/g) eps and C fitted
-    from sup|b| by the sharp Young split.  It holds whenever |b| stays below
-    its declared bound, as it does for every drift the config builds.
+    from sup|b| <= drift_bound by the sharp Young split.  It holds whenever
+    |b| stays below that bound.
     """
     if model.drift is None:
         raise ValueError("drift perturbation audit requires a drift model")
     gstar = gamma / (gamma - 1.0)
-    bsup = model.drift_bound
+    bsup = drift_bound
     C = (1.0 - 1.0 / gamma) * gamma ** (-1.0 / (gamma - 1.0)) * bsup**gstar
     rng = np.random.default_rng(seed)
     violations = 0
@@ -282,19 +283,19 @@ def check_drift_boundary_perturbation(
 
 
 def test_drift_perturbation_zero_drift():
-    model = drift_power(2.0, lambda x: np.zeros_like(x), 0.0)
-    rep = check_drift_boundary_perturbation(model, 2.0)
+    model = drift_power(2.0, lambda x: np.zeros_like(x))
+    rep = check_drift_boundary_perturbation(model, 2.0, 0.0)
     assert rep.passed
     assert rep.details["violations"] == 0
 
 
 def test_drift_perturbation_bounded_drift():
-    model = drift_power(2.0, lambda x: np.sin(x), np.sqrt(2.0))
-    rep = check_drift_boundary_perturbation(model, 2.0, dim=2)
+    model = drift_power(2.0, lambda x: np.sin(x))
+    rep = check_drift_boundary_perturbation(model, 2.0, np.sqrt(2.0), dim=2)  # sup|sin x|
     assert rep.passed
     assert rep.fitted_constant > 0
 
 
 def test_drift_perturbation_requires_drift_model():
     with pytest.raises(ValueError):
-        check_drift_boundary_perturbation(pure_power(2.0), 2.0)
+        check_drift_boundary_perturbation(pure_power(2.0), 2.0, 0.0)

@@ -93,7 +93,7 @@ def test_lp_certificates_and_cross_check(lp_instance):
     assert measure.info["primal_feasibility"] <= 1e-9
     assert measure.info["complementarity"] <= 1e-8
     assert abs(lam_bar - sol.lam) <= 0.05
-    assert measure.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert measure.weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert measure.weights.toarray().min() >= -1e-12
 
 

@@ -12,6 +12,7 @@ from ergolab.simulate import (
     compare_controls,
     simulate_average,
 )
+from oracles import PATH_ARRAYS, path_count_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +42,17 @@ def test_x0_dimension_checked(instance):
         simulate_average(g, sol.xi_u, model, pot, p)
 
 
-def test_bitwise_determinism(instance):
-    g, model, pot, sol = instance
-    p1 = SimParams(horizon=2.0, timestep=1e-3, n_paths=6, seed=99, burn_in=0.5)
-    a = simulate_average(g, sol.xi_u, model, pot, p1)
-    b = simulate_average(g, sol.xi_u, model, pot, p1)
-    assert np.array_equal(a.path_averages, b.path_averages)
-    assert np.array_equal(a.admissibility, b.admissibility)
-
-    p3 = SimParams(horizon=2.0, timestep=1e-3, n_paths=6, seed=99, burn_in=0.5, workers=3)
-    c = simulate_average(g, sol.xi_u, model, pot, p3)
-    assert np.array_equal(a.path_averages, c.path_averages)
-    assert np.array_equal(a.half_averages, c.half_averages)
-    assert np.array_equal(a.admissibility, c.admissibility)
+def test_bitwise_determinism(request):
+    for fixture in ("instance", "instance_2d_drift"):
+        g, model, pot, sol = request.getfixturevalue(fixture)
+        p = SimParams(
+            horizon=2.0, timestep=1e-3, n_paths=8, seed=99, burn_in=0.5, x0=(0.0,) * g.dim
+        )
+        a = simulate_average(g, sol.xi_u, model, pot, p)
+        b = simulate_average(g, sol.xi_u, model, pot, p)
+        assert_same_paths(a, b)
+        # path p's statistics are the same bits among 8 paths as among 1, 2, 4 or 7
+        assert path_count_mismatches(g, sol.xi_u, model, pot, p) == [], fixture
 
 
 def test_identical_controls_identical_statistics(instance):
@@ -74,11 +73,6 @@ def test_repeated_control_name_rejected(instance):
         compare_controls(g, [("a", sol.xi_u), ("a", 2.0 * sol.xi_u)], model, pot, p)
 
 
-PATH_ARRAYS = (
-    "path_averages", "half_averages", "admissibility", "admissibility_ratio", "diverged"
-)
-
-
 def assert_same_paths(a, b):
     for key in PATH_ARRAYS:
         assert np.array_equal(getattr(a, key), getattr(b, key), equal_nan=key != "diverged"), key
@@ -87,7 +81,7 @@ def assert_same_paths(a, b):
 @pytest.fixture(scope="module")
 def instance_2d_drift():
     g = build_grid(2, 2.0, 0.2)
-    model = drift_power(1.5, lambda x: 0.5 * np.sin(x), 0.5 * np.sqrt(2.0))
+    model = drift_power(1.5, lambda x: 0.5 * np.sin(x))
     pot = quadratic_power_potential(1.5)
     return g, model, pot, solve_ergodic_hjb(g, model, pot)
 
@@ -103,7 +97,7 @@ def test_single_control_compare_equals_simulate(request, case):
     named = [("xi_u", sol.xi_u), ("half", 0.5 * sol.xi_u), ("double", 2.0 * sol.xi_u)]
     comp = compare_controls(g, named, model, pot, p)
     for name, ctrl in named:
-        assert_same_paths(comp.reports[name], simulate_average(g, ctrl, model, pot, p, name))
+        assert_same_paths(comp.reports[name], simulate_average(g, ctrl, model, pot, p))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -116,7 +110,7 @@ def test_outward_control_reflects_at_the_wall(dim):
     outward = -3.0 * np.sign(g.coords)
     x0 = (1.8, -1.8)[:dim]  # near a corner in 2d
     p = SimParams(horizon=12.0, timestep=1e-3, n_paths=4, seed=3, burn_in=1.0, x0=x0)
-    rep = simulate_average(g, outward, model, pot, p, "outward")
+    rep = simulate_average(g, outward, model, pot, p)
     assert rep.n_divergent == 0
     gs = model.gamma_star
     bound = pot.value_fn(g.coords).max() + (3.0 * np.sqrt(dim)) ** gs / gs
@@ -131,7 +125,7 @@ def test_non_finite_paths_flagged_divergent(instance):
     field = fill_boundary_nearest(sol.xi_u, g)
     field[g.coords[:, 0] > 1.5] = np.nan
     p = SimParams(horizon=2.0, timestep=1e-3, n_paths=8, seed=5)
-    out = _run_paths(np.arange(p.n_paths), g, field, model, pot, p)
+    out = _run_paths(g, field, model, pot, p)
     nan_paths = ~np.isfinite(out["path_averages"])
     assert 0 < nan_paths.sum() < p.n_paths
     assert np.array_equal(out["diverged"], nan_paths)
