@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -105,7 +106,21 @@ def _require_number(cfg: dict, path: str, low=None, high=None, message=None):
         raise ConfigError(message or f"{path!r} must be <= {high}")
 
 
+def _require_finite(node, path: str = "") -> None:
+    """Refuse NaN and +-Infinity anywhere in the config, naming the key: JSON's
+    NaN/Infinity tokens and a literal that overflows, such as 1e999."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _require_finite(val, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for val in node:
+            _require_finite(val, path)
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path!r} must be finite, got {node}")
+
+
 def _validate(cfg: dict) -> dict:
+    _require_finite(cfg)
     scenario = cfg["scenario"]
     if not (isinstance(scenario, str) and scenario in SCENARIOS):
         raise ConfigError(f"'scenario' must be one of {tuple(SCENARIOS)}, got {scenario!r}")

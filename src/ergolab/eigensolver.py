@@ -303,6 +303,8 @@ def solve_ergodic_hjb(
     drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for k in range(opts.max_policy_iters):
         cost = fvals + lagrangian_value(model, coords, control)
+        if not np.isfinite(cost).all():  # the potential or the Lagrangian overflowed
+            raise SingularEvaluationError("the running cost is not finite on this grid")
         u, lam = policy_evaluation(grid, control, cost, opts, solver)
         new_control = policy_improvement(grid, u, model)
         iterations = k + 1

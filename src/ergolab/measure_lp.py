@@ -6,8 +6,8 @@ annihilates the generator applied to that node's indicator basis function,
 with the generator assembled by the same routine the eigensolver uses; a
 final row fixes total mass 1.  The resulting minimum of the running cost is
 an independent route to the ergodic eigenvalue: the solver here is a generic
-LP method (HiGHS via scipy.optimize.linprog) and shares no linear-algebra
-path with policy iteration.
+LP method (HiGHS, driven through the ``_Highs`` object that scipy ships)
+and shares no linear-algebra path with policy iteration.
 
 The program is solved by column generation.  At the optimum almost every
 (node, atom) column carries no mass, so HiGHS only ever sees a restricted
@@ -21,6 +21,14 @@ sparse product with the master's equality duals y, and every node whose best
 inactive atom prices below -1e-9 gets that atom.  The loop stops when no
 inactive column prices below -1e-9; each round adds a column, so it ends.
 The certificates are then taken on the full program.
+
+One HiGHS instance holds the master for the whole solve, so each round
+re-optimizes from the previous round's basis (the hot start of column
+generation; Lübbecke & Desrosiers, Oper. Res. 53, 2005).  The seed master is
+solved by the interior-point method with crossover and presolve off; each
+later round only adds the entering columns at 0, which keeps the held basis
+primal feasible, and re-solves by primal simplex, about one pivot per added
+column.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .density import GridMeasure, pair_measure, stationary_density
 from .eigensolver import ErgodicSolution
@@ -45,6 +53,7 @@ from .operators import assemble_generator
 PRIMAL_FEASIBILITY_TOL = 1e-9
 COMPLEMENTARITY_TOL = 1e-8
 PRICING_TOL = 1e-9  # a column enters the master when it prices below -PRICING_TOL
+PRIMAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 class LPSolveError(RuntimeError):
@@ -132,36 +141,88 @@ def _seed_atoms(xi_atoms: np.ndarray) -> np.ndarray:
     return np.flatnonzero(on_axis.all(axis=1))
 
 
+def _ok(status, call: str) -> None:
+    if status != highs.HighsStatus.kOk:
+        raise LPSolveError(f"HiGHS {call} returned {status.name}")
+
+
+class _Master:
+    """The restricted master: one HiGHS instance over the equality rows of
+    the program, whose columns are the active (node, atom) columns in the
+    order they entered (``ids``)."""
+
+    def __init__(self, problem: LPProblem):
+        self.problem = problem
+        self.columns = problem.a_eq.tocsc()
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.round_iterations: list[int] = []  # IPM plus simplex, per solve
+        # the last solve's run status, model status and objective value
+        self.status = highs.HighsStatus.kOk
+        self.message = ""
+        self.value = float("nan")
+        self.highs = highs._Highs()
+        self._options(output_flag=False, solver="ipm", run_crossover="on", presolve="off")
+        rows = problem.b_eq.size
+        starts = np.zeros(rows, dtype=np.int32)  # the rows start empty; columns fill them
+        _ok(self.highs.addRows(rows, problem.b_eq, problem.b_eq, 0, starts, starts[:0],
+                               np.zeros(0)), "addRows")
+
+    def _options(self, **values) -> None:
+        for name, value in values.items():
+            _ok(self.highs.setOptionValue(name, value), f"setOptionValue({name!r})")
+
+    def add(self, ids: np.ndarray) -> None:
+        """Add the columns ``ids`` of the full program at 0."""
+        block = self.columns[:, ids]
+        block.sort_indices()
+        _ok(
+            self.highs.addCols(
+                ids.size, self.problem.objective[ids], np.zeros(ids.size),
+                np.full(ids.size, np.inf), block.nnz, block.indptr[:-1].astype(np.int32),
+                block.indices.astype(np.int32), block.data,
+            ),
+            "addCols",
+        )
+        self.ids = np.concatenate([self.ids, ids])
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Re-optimize from the held basis; return the master's column values
+        and its equality duals."""
+        self.status = self.highs.run()
+        _ok(self.status, "run")
+        model_status = self.highs.getModelStatus()
+        self.message = self.highs.modelStatusToString(model_status)
+        if model_status != highs.HighsModelStatus.kOptimal:
+            raise LPSolveError(f"LP solve failed: {self.message}")
+        info = self.highs.getInfo()
+        self.round_iterations.append(info.ipm_iteration_count + info.simplex_iteration_count)
+        self.value = info.objective_function_value
+        # columns enter at 0, so the basis held for the next round is primal feasible
+        self._options(solver="simplex", simplex_strategy=PRIMAL_SIMPLEX)
+        solution = self.highs.getSolution()
+        return np.asarray(solution.col_value), np.asarray(solution.row_dual)
+
+
 def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     """Minimize the running cost over the discrete invariant-measure polytope.
 
-    Solves by column generation (see the module docstring).  Returns the
-    optimal measure and its objective value, after verifying the primal
-    feasibility, complementary-slackness and dual-feasibility certificates
-    on the full program.  ``measure.info["stats"]`` holds the solve's
-    deterministic counters: full and final active column counts, pricing
-    rounds, total HiGHS iterations, and the last master's status and message.
+    Solves by column generation over one hot-started master (see the module
+    docstring).  Returns the optimal measure and its objective value, after
+    verifying the primal feasibility, complementary-slackness and
+    dual-feasibility certificates on the full program.
+    ``measure.info["stats"]`` holds the solve's deterministic counters: full
+    and final active column counts, pricing rounds, HiGHS iterations per
+    round and their sum, and the last master's status and model status.
     """
+    if not np.isfinite(problem.objective).all():
+        raise LPSolveError("the running cost is not finite on every (node, atom) column")
     N, K = problem.grid.num_nodes, problem.num_atoms
-    columns = problem.a_eq.tocsc()
     active = np.zeros((N, K), dtype=bool)
     active[:, _seed_atoms(problem.xi_atoms)] = True
-    rounds = 0
-    iterations = 0
+    master = _Master(problem)
+    master.add(np.flatnonzero(active))
     while True:
-        ids = np.flatnonzero(active)
-        res = linprog(
-            problem.objective[ids],
-            A_eq=columns[:, ids],
-            b_eq=problem.b_eq,
-            bounds=(0, None),
-            method="highs",
-        )
-        rounds += 1
-        iterations += int(res.nit)
-        if res.status != 0:
-            raise LPSolveError(f"LP solve failed (status {res.status}): {res.message}")
-        duals = np.asarray(res.eqlin.marginals)
+        x, duals = master.solve()
         reduced = problem.objective - problem.a_eq.T @ duals
         pricing = np.where(active, np.inf, reduced.reshape(N, K))
         best = pricing.argmin(axis=1)
@@ -169,9 +230,10 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
         if not enter.any():
             break
         active[enter, best[enter]] = True
+        master.add(np.flatnonzero(enter) * K + best[enter])
 
     mu = np.zeros(N * K)
-    mu[ids] = res.x
+    mu[master.ids] = x
     primal = np.abs(problem.a_eq @ mu - problem.b_eq).max()
     if primal > PRIMAL_FEASIBILITY_TOL:
         raise LPSolveError(f"primal feasibility residual {primal:.3e} > 1e-9")
@@ -195,15 +257,16 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
             "dual_feasibility_min": float(reduced.min()),
             "stats": {
                 "columns": N * K,
-                "active_columns": int(ids.size),
-                "pricing_rounds": rounds,
-                "highs_iterations": iterations,
-                "status": int(res.status),
-                "message": res.message,
+                "active_columns": int(master.ids.size),
+                "pricing_rounds": len(master.round_iterations),
+                "round_iterations": master.round_iterations,
+                "highs_iterations": sum(master.round_iterations),
+                "status": int(master.status),
+                "message": master.message,
             },
         },
     )
-    return measure, float(res.fun)
+    return measure, float(master.value)
 
 
 def _measure_vector(measure: GridMeasure, problem: LPProblem) -> np.ndarray:

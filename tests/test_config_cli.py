@@ -185,6 +185,9 @@ def test_cli_config_error_exit_code(tmp_path):
         (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
         (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
         (2, "check", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # check builds it too
+        # finite inputs whose running cost overflows
+        (3, "solve", ["--set", "grid.spacing=0.2", "--set", "model.gamma=1e6"]),
+        (3, "lp", ["--set", "grid.spacing=0.2", "--set", "lp.xi_bound=1e200"]),
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
@@ -380,6 +383,15 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("full_verify", "checks.sweep_size=2.5", "'checks.sweep_size'"),
         ("full_verify", "checks.sweep_size=0", "'checks.sweep_size'"),
         ("full_verify", "checks.sweep_size=true", "'checks.sweep_size'"),
+        # NaN and Infinity parse as JSON numbers; each of these once crashed
+        ("solve", "grid.radius=Infinity", "'grid.radius' must be finite"),
+        ("exhaust", "exhaust.radii=[3.0,Infinity]", "'exhaust.radii' must be finite"),
+        ("compare", "compare.multipliers=[1.0,Infinity]", "'compare.multipliers' must be finite"),
+        ("lp", "lp.xi_bound=Infinity", "'lp.xi_bound' must be finite"),
+        ("lp", "lp.xi_bound=-Infinity", "'lp.xi_bound' must be finite"),
+        ("solve", "model.gamma=NaN", "'model.gamma' must be finite"),
+        ("solve", "model.drift_vector=[NaN]", "'model.drift_vector' must be finite"),
+        ("solve", "grid.spacing=1e999", "'grid.spacing' must be finite"),  # overflows to inf
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):

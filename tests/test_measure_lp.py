@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from ergolab import measure_lp
 from ergolab.density import GridMeasure, stationary_density
@@ -136,15 +137,15 @@ def test_dual_certificate_enforced(lp_instance, monkeypatch):
     # a master that overprices its heaviest column leaves that column active
     # but without mass, where the full program prices it below zero
     problem = lp_instance[5]
-    real_linprog = measure_lp.linprog
+    real_solve = measure_lp._Master.solve
 
-    def overpriced(c, **kwargs):
-        heaviest = real_linprog(c, **kwargs).x.argmax()
-        c = c.copy()
-        c[heaviest] += 1.0
-        return real_linprog(c, **kwargs)
+    def overpriced(master):
+        heaviest = real_solve(master)[0].argmax()
+        cost = problem.objective[master.ids[heaviest]] + 1.0
+        assert master.highs.changeColCost(int(heaviest), cost) == highs.HighsStatus.kOk
+        return real_solve(master)
 
-    monkeypatch.setattr(measure_lp, "linprog", overpriced)
+    monkeypatch.setattr(measure_lp._Master, "solve", overpriced)
     with pytest.raises(LPSolveError, match="dual feasibility"):
         solve_lp(problem)
 
@@ -154,18 +155,57 @@ def test_dual_noise_on_columns_with_mass_accepted(lp_instance, monkeypatch):
     # (-1.1e-7 seen on a 3,721-node 2d program); complementarity bounds those
     # columns, so only the mass-free ones may refuse the optimum
     _, _, _, _, _, problem, measure, lam_bar = lp_instance
-    real_linprog = measure_lp.linprog
+    real_solve = measure_lp._Master.solve
 
-    def noisy_duals(c, A_eq, **kwargs):
-        res = real_linprog(c, A_eq=A_eq, **kwargs)
-        col = A_eq[:, res.x.argmax()].toarray().ravel()
-        res.eqlin.marginals += 1e-8 * col / (col @ col)
-        return res
+    def noisy_duals(master):
+        x, duals = real_solve(master)
+        col = problem.a_eq[:, master.ids[x.argmax()]].toarray().ravel()
+        return x, duals + 1e-8 * col / (col @ col)
 
-    monkeypatch.setattr(measure_lp, "linprog", noisy_duals)
+    monkeypatch.setattr(measure_lp._Master, "solve", noisy_duals)
     noisy, value = solve_lp(problem)
     assert noisy.info["dual_feasibility_min"] < -1e-9
     assert value == pytest.approx(lam_bar, abs=1e-12)
+
+
+def _assert_hot_started(problem, monkeypatch):
+    # a round that re-optimizes from the previous basis needs about one pivot
+    # per entering column; a cold simplex start needs the whole master's count
+    added = []
+    real_add = measure_lp._Master.add
+
+    def recording(master, ids):
+        added.append(ids.size)
+        real_add(master, ids)
+
+    monkeypatch.setattr(measure_lp._Master, "add", recording)
+    measure, _ = solve_lp(problem)
+    stats = measure.info["stats"]
+    iterations = stats["round_iterations"]
+    assert stats["highs_iterations"] == sum(iterations)
+    assert stats["pricing_rounds"] == len(iterations) == len(added) >= 2  # the seed is added[0]
+    for its, count in zip(iterations[1:], added[1:]):
+        assert its <= 2 * count
+
+
+def test_later_rounds_restart_from_the_held_basis(lp_instance, monkeypatch):
+    _assert_hot_started(lp_instance[5], monkeypatch)
+
+
+def test_later_rounds_restart_from_the_held_basis_2d(monkeypatch):
+    g = build_grid(2, 2.0, 0.25)
+    problem = assemble_lp(g, uniform_xi_atoms(1.0, 5, 2), pure_power(1.5),
+                          quadratic_power_potential(1.5))
+    _assert_hot_started(problem, monkeypatch)
+
+
+def test_highs_status_checked(lp_instance):
+    # HiGHS reads a cost of 1e21 as infinite and ends the run without an optimum
+    problem = lp_instance[5]
+    huge = LPProblem(a_eq=problem.a_eq, b_eq=problem.b_eq, objective=problem.objective + 1e21,
+                     grid=problem.grid, xi_atoms=problem.xi_atoms)
+    with pytest.raises(LPSolveError, match="HiGHS run returned"):
+        solve_lp(huge)
 
 
 def test_objective_shift_moves_value_exactly(lp_instance):
