@@ -4,8 +4,9 @@
     ergolab <scenario> [--config PATH] [--out-dir PATH] [--seed N]
                        [--set key=value ...]
 
-Exit codes: 0 all checks passed, 1 a declared check failed,
-2 configuration error, 3 numerical failure.
+Exit codes: 0 all checks passed, 1 a declared check failed, 2 configuration
+error, 3 numerical failure. A configuration is refused (exit 2) only while it
+is parsed, before any artifact; a run that starts writes ``summary.json``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ def main(argv=None) -> int:
     for message in results["warnings"]:
         print(f"warning: {message}", file=sys.stderr)
     if "error" in results:
-        kind = "configuration error" if report.exit_code == 2 else "numerical failure"
-        print(f"{kind}: {results['error']}", file=sys.stderr)
+        print(f"numerical failure: {results['error']}", file=sys.stderr)
     return report.exit_code
 
 

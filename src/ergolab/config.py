@@ -11,6 +11,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any
 
 import numpy as np
@@ -75,6 +76,13 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+# The most work one stage may ask for, counted in Monte Carlo path-steps
+# (controls x paths x steps, as `results.<stage>.stats.path_steps` reports
+# them) and in the sweep's density solves times the grid's nodes. Criterion 6
+# runs 3 x 16 x 2e6 = 9.6e7 path-steps.
+MAX_WORK = 10**8
+
+
 class ConfigError(ValueError):
     """Malformed configuration; message carries the offending key path."""
 
@@ -128,10 +136,8 @@ def _validate(cfg: dict) -> dict:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     dim = cfg["grid"]["dim"]
-    if dim not in (1, 2):
-        raise ConfigError(
-            f"'grid.dim' must be 1 or 2 (desk-scale limit), got {dim}"
-        )
+    if type(dim) is not int or dim not in (1, 2):
+        raise ConfigError(f"'grid.dim' must be 1 or 2 (desk-scale limit), got {dim}")
     _require_number(cfg, "grid.radius", low=0.0)
     _require_number(cfg, "grid.spacing", low=0.0)
     if cfg["grid"]["radius"] < 4 * cfg["grid"]["spacing"]:
@@ -185,6 +191,36 @@ def _validate(cfg: dict) -> dict:
         )
     if not isinstance(cfg["output"]["directory"], str):
         raise ConfigError("'output.directory' must be a path string")
+    stages, g = SCENARIOS[scenario], cfg["grid"]
+    boxes = []  # (key path, radius, spacing) of every grid the stages will build
+    if set(stages) - {"exhaust"}:
+        boxes.append(("'grid'", g["radius"], g["spacing"]))
+    if "refine" in stages:
+        boxes.append(("'grid' at h/2, for the refine stage", g["radius"], float(g["spacing"]) / 2))
+    if "exhaust" in stages:  # its boxes take the place of grid.radius
+        if radii[0] < 4 * g["spacing"]:
+            raise ConfigError("'exhaust.radii' must be >= 4 * grid.spacing")
+        boxes.append(("'exhaust.radii'", radii[-1], g["spacing"]))
+    if "lp" in stages:  # xi_count atoms per axis, a lattice sized like a grid
+        boxes.append(("'lp.xi_count' atoms", count // 2, 1))
+    for key, radius, spacing in boxes:
+        try:
+            build_grid(dim, radius, spacing)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    params = config.sim_params()
+    work = [  # (stage, key path, its path-steps or nodes of density solves)
+        ("simulate", "'sde'", params.path_steps()),
+        ("compare", "'sde'", params.path_steps(len(mults))),
+    ]
+    if "sweep" in stages:
+        work.append(("sweep", "'checks.sweep_size'", size * config.grid().num_nodes))
+    for stage, key, units in work:
+        if stage in stages and units > MAX_WORK:
+            raise ConfigError(
+                f"{key}: the {stage} stage asks for {Decimal(units):.3g} units of work"
+                f" (limit {Decimal(MAX_WORK):.3g})"
+            )
     return cfg
 
 
@@ -205,10 +241,7 @@ class RunConfig:
 
     def grid(self) -> Grid:
         g = self.raw["grid"]
-        try:
-            return build_grid(g["dim"], g["radius"], g["spacing"])
-        except ValueError as exc:
-            raise ConfigError(f"'grid': {exc}") from exc
+        return build_grid(g["dim"], g["radius"], g["spacing"])
 
     def model(self) -> HamiltonianModel:
         m, dim = self.raw["model"], self.raw["grid"]["dim"]

@@ -84,8 +84,9 @@ def check_polynomial_envelope(potential: PotentialSpec, grid: Grid) -> EstimateR
     """Audit the power sandwich c^-1 |x|^b - c <= f <= c(1 + |x|^b) with
     |Df| <= c^-1 (1 + |x|^(b-1)+), fitting b by log-log regression.
 
-    Fails when f has no power-law envelope (the log-log fit residual exceeds
-    0.1), which is exactly the class the gradient-growth audit still admits.
+    Fails when the log-log fit residual over r >= R/2 exceeds 0.1. On the
+    boxes the lab solves, the fit cannot tell e^|x| from a power: ``exp_abs``
+    passes at defaults with b 2.75 and residual 0.058.
     """
     f = potential.on_grid(grid)
     df = np.linalg.norm(potential.grad_on_grid(grid), axis=1)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SCENARIOS, ConfigError, RunConfig
+from .config import SCENARIOS, RunConfig
 from .density import GridMeasure, ReducibleChainError, average_cost, stationary_density
 from .eigensolver import (
     ErgodicSolution,
@@ -119,11 +119,11 @@ def _report_sim(rep) -> dict:
 def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     """Execute one scenario, write its artifacts, and return the report.
 
-    Exit code is 0 when all declared checks pass, 1 on a failed check,
-    2 on a configuration error found only while running (such as a grid over
-    the node limit), 3 on a numerical failure; the partial report is written
-    in every case.  Each distinct warning the stages raise is recorded once
-    under ``results.warnings``, in the order raised.
+    Parsing refused every configuration that cannot run, so the exit code is
+    0 when all declared checks pass, 1 on a failed check and 3 on a numerical
+    failure; the partial report is written in every case.  Each distinct
+    warning the stages raise is recorded once under ``results.warnings``, in
+    the order raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,9 +139,9 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
                     STAGES[name](run)
                 finally:
                     run.seconds[name] = time.perf_counter() - start
-        except (ConfigError, *NUMERICAL_ERRORS) as exc:
+        except NUMERICAL_ERRORS as exc:
             run.results["error"] = f"{type(exc).__name__}: {exc}"
-            code = 2 if isinstance(exc, ConfigError) else 3
+            code = 3
     run.results["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
     if code == 0 and any(not c["passed"] for c in run.checks.values()):
         code = 1
@@ -264,10 +264,7 @@ def _sweep(run: _Run) -> None:
 def _refine(run: _Run) -> None:
     """The run's problem solved once more at half the spacing, from the solution
     at h as its coarse level, for the Richardson reference and the estimate audits."""
-    try:  # the h/2 grid must fit the node limit too
-        fine = build_grid(run.grid.dim, run.grid.radius, run.grid.spacing / 2.0)
-    except ValueError as exc:
-        raise ConfigError(f"'grid': the h/2 re-solve of the refine stage: {exc}") from exc
+    fine = build_grid(run.grid.dim, run.grid.radius, run.grid.spacing / 2.0)
     opts = run.config.solver_options()
     refined = run.refined = solve_ergodic_hjb(fine, run.model, run.potential, opts, coarse=run.sol)
     run.results["refine"] = _report_solution(refined)
@@ -287,7 +284,7 @@ def _simulate(run: _Run) -> None:
         **_report_sim(rep),
         "lambda_refined": run.refined.lam,
         "lambda_reference": reference,
-        "stats": {"path_steps": params.n_paths * params.n_steps},
+        "stats": {"path_steps": params.path_steps()},
     }
     columns = (np.arange(params.n_paths), rep.path_averages, rep.admissibility, rep.diverged)
     write_csv(
@@ -310,7 +307,7 @@ def _compare(run: _Run) -> None:
         "order": comp.order,
         "reports": {k: _report_sim(r) for k, r in comp.reports.items()},
         "pathwise_reference_first": comp.pathwise_dominates(reference),
-        "stats": {"path_steps": len(named) * params.n_paths * params.n_steps},
+        "stats": {"path_steps": params.path_steps(len(named))},
     }
     first = comp.order[0] == reference
     run.check("optimal_control_ranks_first", first, comp.order, "xi_u first")
@@ -359,14 +356,7 @@ def _exhaust(run: _Run) -> None:
     # boundary of a truncated domain, so lambda(R) falls as R grows
     opts = replace(config.solver_options(), boundary_mode=DIRICHLET_BIG)
     radii, spacing = config["exhaust"]["radii"], config["grid"]["spacing"]
-    dim = int(config["grid"]["dim"])
-    if radii[0] < 4 * spacing:
-        raise ConfigError("'exhaust.radii' must be >= 4 * grid.spacing")
-    try:  # the largest box must fit the node limit; checked before any solve
-        build_grid(dim, radii[-1], spacing)
-    except ValueError as exc:
-        raise ConfigError(f"'exhaust.radii': {exc}") from exc
-    seq = domain_exhaustion(model, potential, radii, spacing, opts, dim=dim)
+    seq = domain_exhaustion(model, potential, radii, spacing, opts, dim=config["grid"]["dim"])
     lams = [lam for _, lam in seq]
     diffs = [b - a for a, b in zip(lams, lams[1:])]
     run.results["exhaustion"] = {"sequence": seq, "successive_differences": diffs}

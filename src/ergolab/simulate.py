@@ -37,6 +37,8 @@ class SimParams:
             raise ValueError("timestep must be positive")
         if self.horizon < 100 * self.timestep:
             raise ValueError("horizon must be at least 100 timesteps")
+        if not np.isfinite(self.horizon / self.timestep):
+            raise ValueError("horizon / timestep overflows")
         n = self.n_paths
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_paths must be an integer >= 1, got {n!r}")
@@ -46,6 +48,10 @@ class SimParams:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.timestep))
+
+    def path_steps(self, controls: int = 1) -> int:
+        """Monte Carlo work of a run of ``controls`` controls: controls x paths x steps."""
+        return controls * self.n_paths * self.n_steps
 
 
 @dataclass

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergolab.config
 import ergolab.eigensolver
 import ergolab.grid
 import ergolab.runner
@@ -179,22 +180,51 @@ def test_cli_config_error_exit_code(tmp_path):
     [
         (0, "solve", []),
         (1, "solve", ["--set", "solver.max_policy_iters=1"]),
-        (2, "solve", ["--set", "grid.spacing=1e-7"]),  # 1d over MAX_NODES
-        (2, "solve", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # over MAX_NODES
-        (2, "exhaust", ["--set", "grid.dim=2", "--set", "exhaust.radii=[3.0,200.0]"]),  # ditto
-        (2, "exhaust", ["--set", "exhaust.radii=[0.2,3.0]"]),  # below 4 * grid.spacing
-        (3, "solve", ["--set", "solver.eval_tolerance=1e-30"]),
-        (2, "check", ["--set", "grid.dim=2", "--set", "grid.spacing=0.001"]),  # check builds it too
+        # explicit ids keep a row's name when rows before it leave the table
+        pytest.param(3, "solve", ["--set", "solver.eval_tolerance=1e-30"], id="3-solve-args6"),
         # finite inputs whose running cost overflows
-        (3, "solve", ["--set", "grid.spacing=0.2", "--set", "model.gamma=1e6"]),
-        (3, "lp", ["--set", "grid.spacing=0.2", "--set", "lp.xi_bound=1e200"]),
+        pytest.param(
+            3, "solve", ["--set", "grid.spacing=0.2", "--set", "model.gamma=1e6"],
+            id="3-solve-args8",
+        ),
+        pytest.param(
+            3, "lp", ["--set", "grid.spacing=0.2", "--set", "lp.xi_bound=1e200"],
+            id="3-lp-args9",
+        ),
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
+    # a run that starts ends 0, 1 or 3; exit 2 comes only from parsing
     assert main([command, "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == code
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["exit_code"] == code
-    assert ("error" in payload["results"]) == (code in (2, 3))
+    assert ("error" in payload["results"]) == (code == 3)
+
+
+@pytest.mark.parametrize(
+    "command, args, key",
+    [
+        ("solve", ["grid.spacing=1e-7"], "'grid'"),  # 1d over MAX_NODES
+        ("solve", ["grid.dim=2", "grid.spacing=0.001"], "'grid'"),  # over MAX_NODES
+        ("exhaust", ["grid.dim=2", "exhaust.radii=[3.0,200.0]"], "'exhaust.radii'"),  # ditto
+        ("exhaust", ["exhaust.radii=[0.2,3.0]"], "'exhaust.radii'"),  # below 4 * grid.spacing
+        ("check", ["grid.dim=2", "grid.spacing=0.001"], "'grid'"),  # check builds it too
+        # over the work budget: 8 paths x 1e10 steps, 3 controls x 8 x 5e6, and
+        # 8 x 2e302 steps; none of them would have finished
+        ("simulate", ["grid.spacing=0.2", "sde.horizon=1e7"], "'sde'"),
+        ("compare", ["sde.horizon=5000"], "'sde'"),
+        ("full_verify", ["sde.timestep=1e-300"], "'sde'"),
+        ("full_verify", ["checks.sweep_size=10000000"], "'checks.sweep_size'"),  # x 81 nodes
+        ("simulate", ["sde.horizon=1e300", "sde.timestep=1e-10"], "'sde'"),  # overflows
+        ("lp", ["lp.xi_count=100000001"], "'lp.xi_count'"),  # an atom lattice over MAX_NODES
+    ],
+)
+def test_grids_and_work_sized_at_parse_time(tmp_path, capsys, command, args, key):
+    # refused before any stage runs, so no artifact is written
+    sets = [arg for item in args for arg in ("--set", item)]
+    assert main([command, "--out-dir", str(tmp_path)] + SOLVE_ARGS + sets) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -291,11 +321,39 @@ def test_simulation_compared_with_richardson_lambda(tmp_path):
     assert abs(sim["mean"] - lam) > check["tolerance"]
 
 
-def test_richardson_grid_over_node_limit(tmp_path, monkeypatch):
+def test_richardson_grid_over_node_limit(tmp_path, capsys, monkeypatch):
+    # refused before the grid at h is solved, not after
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_ergodic_hjb called")
+
     monkeypatch.setattr(ergolab.grid, "MAX_NODES", 100)  # 81 nodes at h, 161 at h/2
+    monkeypatch.setattr(ergolab.runner, "solve_ergodic_hjb", unreachable)
     assert main(["simulate", "--out-dir", str(tmp_path)] + SOLVE_ARGS) == 2
+    assert "'grid' at h/2" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_exhaust_never_sizes_the_grid(tmp_path):
+    # exhaust builds only its own boxes, so grid.radius may be out of reach
+    sets = ["--set", "grid.radius=1e6", "--set", "exhaust.radii=[1.0,2.0]"]
+    assert main(["exhaust", "--out-dir", str(tmp_path)] + sets) == 0
     payload = json.loads((tmp_path / "summary.json").read_text())
-    assert payload["exit_code"] == 2 and "'grid'" in payload["results"]["error"]
+    assert [r for r, _ in payload["results"]["exhaustion"]["sequence"]] == [1.0, 2.0]
+
+
+def test_work_budget_admits_criterion_6_and_counts_as_the_report(tmp_path, monkeypatch):
+    # criterion 6 runs 3 controls x 16 paths x 2e6 steps
+    sde = {"horizon": 2000.0, "timestep": 1e-3, "n_paths": 16}
+    parse_config(json.dumps({"scenario": "compare", "sde": sde}))
+    # the gate counts what results.<stage>.stats.path_steps reports: a run at
+    # the limit runs, and one path-step more is refused
+    sets = ["--set", "sde.horizon=1.0", "--set", "sde.n_paths=2"] + SOLVE_ARGS
+    monkeypatch.setattr(ergolab.config, "MAX_WORK", 3 * 2 * 1000)
+    assert main(["compare", "--out-dir", str(tmp_path)] + sets) in (0, 1)
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["results"]["compare"]["stats"]["path_steps"] == 3 * 2 * 1000
+    monkeypatch.setattr(ergolab.config, "MAX_WORK", 3 * 2 * 1000 - 1)
+    assert main(["compare", "--out-dir", str(tmp_path / "over")] + sets) == 2
 
 
 def test_compare_reference_is_multiplier_one(tmp_path):
@@ -358,6 +416,7 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("compare", "compare.multipliers=[1.0,1]", "'compare.multipliers'"),  # a repeat
         ("compare", 'compare.multipliers=[1.0,"2"]', "'compare.multipliers'"),
         ("simulate", "sde.x0=[4.1]", "'sde'"),  # outside the wall
+        ("solve", "grid.dim=true", "'grid.dim'"),  # True == 1 in Python; once a TypeError
         # settings with one value in use are constants now
         *(
             pytest.param(
