@@ -11,16 +11,16 @@ and shares no linear-algebra path with policy iteration.
 
 The program is solved by column generation.  At the optimum almost every
 (node, atom) column carries no mass, so HiGHS only ever sees a restricted
-master problem over an active set of columns.  Every node starts with a
-coarse seed of atoms: the zero atom (alone already feasible, since it gives
-the pure-diffusion measure), the axis-end atoms and the corner atoms, which
-is 3 per node in 1d and 9 in 2d.  The seed never looks at the policy
-iteration control, so the LP stays an independent route.  After each master
-solve, the reduced costs c - A^T y of all N*K columns are priced in one
-sparse product with the master's equality duals y, and every node whose best
-inactive atom prices below -1e-9 gets that atom.  The loop stops when no
-inactive column prices below -1e-9; each round adds a column, so it ends.
-The certificates are then taken on the full program.
+master problem over an active set of columns.  The seed is one column per
+node, the zero atom (the first one, if the lattice repeats it), which alone
+is feasible, since it gives the pure-diffusion measure.  The seed never
+looks at the policy iteration control, so the LP stays an independent
+route.  After each master solve, the reduced costs c - A^T y of all N*K
+columns are priced in one sparse product with the master's equality duals
+y, and every node whose best inactive atom prices below -1e-9 gets that
+atom.  The loop stops when no inactive column prices below -1e-9; each
+round adds a column, so it ends.  The certificates are then taken on the
+full program.
 
 One HiGHS instance holds the master for the whole solve, so each round
 re-optimizes from the previous round's basis (the hot start of column
@@ -130,17 +130,6 @@ def assemble_lp(
     return LPProblem(a_eq=a_eq, b_eq=b_eq, objective=objective, grid=grid, xi_atoms=xi_atoms)
 
 
-def _seed_atoms(xi_atoms: np.ndarray) -> np.ndarray:
-    """Atoms whose every coordinate is 0 or an end of its axis: the zero
-    atom, the axis ends and the corners."""
-    on_axis = (
-        (np.abs(xi_atoms) < 1e-14)
-        | (xi_atoms == xi_atoms.min(axis=0))
-        | (xi_atoms == xi_atoms.max(axis=0))
-    )
-    return np.flatnonzero(on_axis.all(axis=1))
-
-
 def _ok(status, call: str) -> None:
     if status != highs.HighsStatus.kOk:
         raise LPSolveError(f"HiGHS {call} returned {status.name}")
@@ -155,6 +144,7 @@ class _Master:
         self.problem = problem
         self.columns = problem.a_eq.tocsc()
         self.ids = np.zeros(0, dtype=np.int64)
+        self.round_columns: list[int] = []  # columns added before each solve
         self.round_iterations: list[int] = []  # IPM plus simplex, per solve
         # the last solve's run status, model status and objective value
         self.status = highs.HighsStatus.kOk
@@ -184,6 +174,7 @@ class _Master:
             "addCols",
         )
         self.ids = np.concatenate([self.ids, ids])
+        self.round_columns.append(int(ids.size))
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Re-optimize from the held basis; return the master's column values
@@ -211,14 +202,16 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     verifying the primal feasibility, complementary-slackness and
     dual-feasibility certificates on the full program.
     ``measure.info["stats"]`` holds the solve's deterministic counters: full
-    and final active column counts, pricing rounds, HiGHS iterations per
-    round and their sum, and the last master's status and model status.
+    and final active column counts, pricing rounds, per round the columns
+    added (the seed first) and the HiGHS iterations, the iterations' sum,
+    and the last master's status and model status.
     """
     if not np.isfinite(problem.objective).all():
         raise LPSolveError("the running cost is not finite on every (node, atom) column")
     N, K = problem.grid.num_nodes, problem.num_atoms
+    zero = np.all(np.abs(problem.xi_atoms) < 1e-14, axis=1).argmax()  # the first zero atom
     active = np.zeros((N, K), dtype=bool)
-    active[:, _seed_atoms(problem.xi_atoms)] = True
+    active[:, zero] = True
     master = _Master(problem)
     master.add(np.flatnonzero(active))
     while True:
@@ -259,6 +252,7 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
                 "columns": N * K,
                 "active_columns": int(master.ids.size),
                 "pricing_rounds": len(master.round_iterations),
+                "round_columns": master.round_columns,
                 "round_iterations": master.round_iterations,
                 "highs_iterations": sum(master.round_iterations),
                 "status": int(master.status),

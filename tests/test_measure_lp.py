@@ -110,15 +110,29 @@ def test_constant_potential_lp():
     assert measure.info["stats"]["active_columns"] == g.num_nodes
 
 
+def test_repeated_zero_atom_seeded_once():
+    # a derived xi_bound of 0 (xi_u = 0 under a constant potential) makes
+    # every atom a copy of 0: only the first is seeded, and the copies, which
+    # price like the seed column, never enter
+    g = build_grid(1, 4.0, 0.1)
+    model = pure_power(2.0)
+    pot = constant_potential(3.0)
+    _, single = solve_lp(assemble_lp(g, np.array([[0.0]]), model, pot))
+    measure, lam_bar = solve_lp(assemble_lp(g, uniform_xi_atoms(0.0, 41, 1), model, pot))
+    assert lam_bar == pytest.approx(single, abs=1e-12)
+    assert measure.info["stats"]["pricing_rounds"] == 1
+    assert measure.info["stats"]["active_columns"] == g.num_nodes
+
+
 def test_column_generation_matches_full_lp_1d(lp_instance):
     g, _, _, _, atoms, problem, measure, lam_bar = lp_instance
     assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
     assert measure.info["dual_feasibility_min"] >= -1e-9
     stats = measure.info["stats"]
     assert stats["columns"] == g.num_nodes * atoms.shape[0]
-    # the optimum needs atoms beyond 0 and the axis ends
+    # the optimum needs atoms beyond the zero atom
     assert stats["pricing_rounds"] >= 2
-    assert 3 * g.num_nodes < stats["active_columns"] < stats["columns"]
+    assert g.num_nodes < stats["active_columns"] < stats["columns"]
     assert stats["status"] == 0
 
 
@@ -131,6 +145,17 @@ def test_column_generation_matches_full_lp_2d():
     assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
     assert measure.info["dual_feasibility_min"] >= -1e-9
     assert measure.info["stats"]["pricing_rounds"] >= 2
+
+
+def test_column_generation_matches_full_lp_2d_tied_atoms():
+    # on a symmetric box, atoms (a, b) and (b, a) cost the same at the nodes
+    # with |x0| = |x1|, so which of them carries mass there is a tie
+    g = build_grid(2, 2.0, 0.2)
+    problem = assemble_lp(g, uniform_xi_atoms(2.0, 9, 2), pure_power(1.5),
+                          quadratic_power_potential(1.5))
+    measure, lam_bar = solve_lp(problem)
+    assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
+    assert measure.info["dual_feasibility_min"] >= -1e-9
 
 
 def test_dual_certificate_enforced(lp_instance, monkeypatch):
@@ -184,6 +209,8 @@ def _assert_hot_started(problem, monkeypatch):
     iterations = stats["round_iterations"]
     assert stats["highs_iterations"] == sum(iterations)
     assert stats["pricing_rounds"] == len(iterations) == len(added) >= 2  # the seed is added[0]
+    assert stats["round_columns"] == added
+    assert added[0] == problem.grid.num_nodes  # one zero-atom column per node
     for its, count in zip(iterations[1:], added[1:]):
         assert its <= 2 * count
 
