@@ -18,7 +18,8 @@ from .hamiltonian import (
     quadratic_power_potential,
     power_beta_potential,
     constant_potential,
-    named_potential,
+    quartic_sine_potential,
+    exp_abs_potential,
 )
 from .eigensolver import (
     ErgodicSolution,
@@ -41,7 +42,8 @@ __all__ = [
     "quadratic_power_potential",
     "power_beta_potential",
     "constant_potential",
-    "named_potential",
+    "quartic_sine_potential",
+    "exp_abs_potential",
     "ErgodicSolution",
     "SolverOptions",
     "solve_ergodic_hjb",

@@ -23,10 +23,11 @@ from .hamiltonian import (
     PotentialSpec,
     constant_potential,
     drift_power,
-    named_potential,
+    exp_abs_potential,
     power_beta_potential,
     pure_power,
     quadratic_power_potential,
+    quartic_sine_potential,
 )
 from .simulate import SimParams
 
@@ -56,13 +57,12 @@ DEFAULTS: dict[str, Any] = {
         "drift_vector": None,
     },
     "potential": {
-        "family": "quadratic_power",  # quadratic_power | power_beta | constant | named
+        "family": "quadratic_power",  # or power_beta | constant | quartic_sine | exp_abs
         "beta": None,  # power_beta's exponent, 1.5 when null
         "value": None,  # constant's value, 1.0 when null
-        "name": None,  # named's potential, quartic_sine when null
     },
     "solver": {"max_policy_iters": 200, "eval_tolerance": 1e-10},
-    "lp": {"xi_bound": None, "xi_count": 41},
+    "lp": {"xi_count": 41},
     "sde": {
         "horizon": 200.0,
         "timestep": 1e-3,
@@ -145,11 +145,11 @@ def _validate(cfg: dict) -> dict:
     _require_number(cfg, "model.gamma", low=1.0, message="'model.gamma' must exceed 1")
     _require_number(cfg, "model.drift_amplitude")
     fam = cfg["potential"]["family"]
-    if fam not in ("quadratic_power", "power_beta", "constant", "named"):
+    if fam not in ("quadratic_power", "power_beta", "constant", "quartic_sine", "exp_abs"):
         raise ConfigError(f"'potential.family' unknown: {fam!r}")
     # a parameter that the chosen family does not read would be ignored
-    read = {"power_beta": "beta", "constant": "value", "named": "name"}.get(fam)
-    for key in ("beta", "value", "name"):
+    read = {"power_beta": "beta", "constant": "value"}.get(fam)
+    for key in ("beta", "value"):
         if cfg["potential"][key] is not None and key != read:
             raise ConfigError(f"'potential.{key}' is not read by the {fam!r} family")
     if fam == "power_beta" and cfg["potential"]["beta"] is not None:
@@ -176,8 +176,6 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("'exhaust.radii' must be a non-empty list of numbers")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("'exhaust.radii' must be strictly increasing")
-    if cfg["lp"]["xi_bound"] is not None:
-        _require_number(cfg, "lp.xi_bound", low=0.0)
     count = cfg["lp"]["xi_count"]
     if not isinstance(count, int) or count < 3 or count % 2 == 0:
         raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
@@ -209,6 +207,8 @@ def _validate(cfg: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     params = config.sim_params()
+    if {"simulate", "compare"} & set(stages) and params.n_paths < 2:
+        raise ConfigError("'sde.n_paths' must be >= 2 where a standard error is read")
     work = [  # (stage, key path, its path-steps or nodes of density solves)
         ("simulate", "'sde'", params.path_steps()),
         ("compare", "'sde'", params.path_steps(len(mults))),
@@ -273,7 +273,9 @@ class RunConfig:
             return power_beta_potential(1.5 if p["beta"] is None else p["beta"])
         if p["family"] == "constant":
             return constant_potential(1.0 if p["value"] is None else p["value"])
-        return named_potential("quartic_sine" if p["name"] is None else p["name"])
+        if p["family"] == "quartic_sine":
+            return quartic_sine_potential()
+        return exp_abs_potential()
 
     def solver_options(self) -> SolverOptions:
         """Solver options under the state constraint; ``exhaust`` alone

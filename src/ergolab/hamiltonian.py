@@ -131,21 +131,31 @@ class PotentialSpec:
         return self.gradients(grid.coords)
 
 
-def _power_grad(x: np.ndarray, exponent: float, coeff: float) -> np.ndarray:
-    # gradient of coeff*|x|^exponent, continuous at 0 for exponent > 1
-    r = _norm(x)
-    safe = np.where(r > 1e-300, r, 1.0)
-    fac = np.where(r > 1e-300, coeff * exponent * safe ** (exponent - 2.0), 0.0)
-    return fac[..., None] * x
+def _radial(
+    family: str,
+    profile: Callable[[np.ndarray], np.ndarray],
+    slope: Callable[[np.ndarray], np.ndarray],
+) -> PotentialSpec:
+    """f(x) = profile(|x|) with gradient slope(|x|) x, where slope(r) = f'(r) / r;
+    slope is read only where |x| > 1e-300, and the gradient is 0 at the origin."""
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        r = _norm(x)
+        far = r > 1e-300
+        fac = np.where(far, slope(np.where(far, r, 1.0)), 0.0)
+        return fac[..., None] * x
+
+    return PotentialSpec(family, lambda x: profile(_norm(x)), grad)
 
 
 def quadratic_power_potential(gamma: float) -> PotentialSpec:
     """f = 1 + |x|^gamma / gamma, the family with value function |x|^2 / 2."""
     gamma = float(gamma)
-    return PotentialSpec(
+    return _radial(
         "quadratic_power",
-        lambda x: 1.0 + _norm(x) ** gamma / gamma,
-        lambda x: _power_grad(x, gamma, 1.0 / gamma),
+        lambda r: 1.0 + r**gamma / gamma,
+        # (1 / gamma) * gamma is not always 1.0; this order fixes the gradient's bits
+        lambda r: 1.0 / gamma * gamma * r ** (gamma - 2.0),
     )
 
 
@@ -154,11 +164,7 @@ def power_beta_potential(beta: float) -> PotentialSpec:
     beta = float(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return PotentialSpec(
-        "power_beta",
-        lambda x: 1.0 + _norm(x) ** beta,
-        lambda x: _power_grad(x, beta, 1.0),
-    )
+    return _radial("power_beta", lambda r: 1.0 + r**beta, lambda r: beta * r ** (beta - 2.0))
 
 
 def constant_potential(value: float) -> PotentialSpec:
@@ -168,44 +174,22 @@ def constant_potential(value: float) -> PotentialSpec:
     return PotentialSpec(
         "constant",
         lambda x: np.full(x.shape[0], value),
-        lambda x: np.zeros_like(x),
+        lambda x: np.zeros_like(x),  # 0 * x would give -0.0 at negative coordinates
     )
 
 
-def _quartic_sine_values(x: np.ndarray) -> np.ndarray:
-    r = _norm(x)
-    return r**2 + np.sin(r**4) + 2.0
+def quartic_sine_potential() -> PotentialSpec:
+    """f = |x|^2 + sin|x|^4 + 2: coercive, but its gradient outgrows the paper's bound."""
+    return _radial(
+        "quartic_sine",
+        lambda r: r**2 + np.sin(r**4) + 2.0,
+        lambda r: 2.0 + 4.0 * r**2 * np.cos(r**4),
+    )
 
 
-def _quartic_sine_grad(x: np.ndarray) -> np.ndarray:
-    r = _norm(x)
-    fac = 2.0 + 4.0 * r**2 * np.cos(r**4)
-    return fac[..., None] * x
-
-
-def _exp_abs_values(x: np.ndarray) -> np.ndarray:
-    return 1.0 + np.exp(_norm(x))
-
-
-def _exp_abs_grad(x: np.ndarray) -> np.ndarray:
-    r = _norm(x)
-    safe = np.where(r > 1e-300, r, 1.0)
-    fac = np.where(r > 1e-300, np.exp(r) / safe, 0.0)
-    return fac[..., None] * x
-
-
-_NAMED = {
-    "quartic_sine": (_quartic_sine_values, _quartic_sine_grad),
-    "exp_abs": (_exp_abs_values, _exp_abs_grad),
-}
-
-
-def named_potential(name: str) -> PotentialSpec:
-    """Built-in audit potentials: quartic_sine (|x|^2 + sin|x|^4 + 2), exp_abs (1 + e^|x|)."""
-    if name not in _NAMED:
-        raise ValueError(f"unknown potential {name!r}; options: {sorted(_NAMED)}")
-    val, grad = _NAMED[name]
-    return PotentialSpec("named", val, grad)
+def exp_abs_potential() -> PotentialSpec:
+    """f = 1 + e^|x|: inside the paper's class, though no power bounds it."""
+    return _radial("exp_abs", lambda r: 1.0 + np.exp(r), lambda r: np.exp(r) / r)
 
 
 def running_cost(

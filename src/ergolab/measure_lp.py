@@ -62,7 +62,7 @@ class LPSolveError(RuntimeError):
 
 @dataclass
 class LPProblem:
-    a_eq: sparse.csr_matrix  # (num_interior + 1, num_nodes * num_atoms)
+    a_eq: sparse.csc_matrix  # (num_interior + 1, num_nodes * num_atoms)
     b_eq: np.ndarray
     objective: np.ndarray  # running cost per (node, atom), node-major
     grid: Grid
@@ -115,12 +115,13 @@ def assemble_lp(
         rows.append(coo.col)
         cols.append(grid.interior_ids[coo.row] * K + j)
         vals.append(coo.data)
-    invariance = sparse.coo_matrix(
+    rows.append(np.full(nvar, grid.num_interior))  # the mass row: 1 in every column
+    cols.append(np.arange(nvar))
+    vals.append(np.ones(nvar))
+    a_eq = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.num_interior, nvar),
-    ).tocsr()
-    mass = sparse.csr_matrix(np.ones((1, nvar)))
-    a_eq = sparse.vstack([invariance, mass], format="csr")
+        shape=(grid.num_interior + 1, nvar),
+    ).tocsc()
     b_eq = np.zeros(grid.num_interior + 1)
     b_eq[-1] = 1.0
 
@@ -142,7 +143,6 @@ class _Master:
 
     def __init__(self, problem: LPProblem):
         self.problem = problem
-        self.columns = problem.a_eq.tocsc()
         self.ids = np.zeros(0, dtype=np.int64)
         self.round_columns: list[int] = []  # columns added before each solve
         self.round_iterations: list[int] = []  # IPM plus simplex, per solve
@@ -163,7 +163,7 @@ class _Master:
 
     def add(self, ids: np.ndarray) -> None:
         """Add the columns ``ids`` of the full program at 0."""
-        block = self.columns[:, ids]
+        block = self.problem.a_eq[:, ids]
         block.sort_indices()
         _ok(
             self.highs.addCols(

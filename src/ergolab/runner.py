@@ -211,14 +211,12 @@ def _density(run: _Run) -> None:
 
 def _lp(run: _Run) -> None:
     config, grid, sol = run.config, run.grid, run.sol
-    bound = config["lp"]["xi_bound"]
-    if bound is None:
-        bound = 1.25 * float(np.abs(sol.xi_u).max())
+    bound = 1.25 * float(np.abs(sol.xi_u).max())
     count = int(config["lp"]["xi_count"])
-    run.atoms = uniform_xi_atoms(float(bound), count, grid.dim)
+    run.atoms = uniform_xi_atoms(bound, count, grid.dim)
     run.problem = assemble_lp(grid, run.atoms, run.model, run.potential)
     run.measure, lam_bar = solve_lp(run.problem)
-    spacing_xi = 2.0 * float(bound) / (count - 1)
+    spacing_xi = 2.0 * bound / (count - 1)
     dist = minimizer_control_distance(run.measure, sol)
     certificates = dict(run.measure.info)
     run.results["lp"] = {
@@ -226,7 +224,7 @@ def _lp(run: _Run) -> None:
         "stats": certificates.pop("stats"),
         "certificates": certificates,
         "minimizer_control_distance": dist,
-        "xi_bound": float(bound),
+        "xi_bound": bound,
         "xi_count": count,
     }
     write_measure_csv(run.out / "measure.csv", run.measure)

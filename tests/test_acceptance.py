@@ -26,12 +26,13 @@ from ergolab.grid import build_grid
 from ergolab.hamiltonian import (
     drift_power,
     duality_gap,
+    exp_abs_potential,
     hamiltonian_value,
     lagrangian_value,
-    named_potential,
     optimal_control,
     pure_power,
     quadratic_power_potential,
+    quartic_sine_potential,
 )
 from ergolab.measure_lp import (
     assemble_lp,
@@ -276,10 +277,10 @@ def test_criterion_9_estimate_audits():
         quadratic_power_potential(1.5), g_fine, 1.5
     )
     g_wide = build_grid(1, 12.0, 0.05)
-    a1_exp = check_potential_gradient_growth(named_potential("exp_abs"), g_wide, 1.5)
-    ih2_exp = check_polynomial_envelope(named_potential("exp_abs"), g_wide)
+    a1_exp = check_potential_gradient_growth(exp_abs_potential(), g_wide, 1.5)
+    ih2_exp = check_polynomial_envelope(exp_abs_potential(), g_wide)
     a1_quartic = check_potential_gradient_growth(
-        named_potential("quartic_sine"), g_fine, 1.5
+        quartic_sine_potential(), g_fine, 1.5
     )
 
     g = build_grid(1, 6.0, 0.02)

@@ -12,7 +12,12 @@ import ergolab.grid
 import ergolab.runner
 from ergolab.cli import main
 from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
-from ergolab.eigensolver import SolverOptions, domain_exhaustion, solve_ergodic_hjb
+from ergolab.eigensolver import (
+    SingularEvaluationError,
+    SolverOptions,
+    domain_exhaustion,
+    solve_ergodic_hjb,
+)
 from ergolab.estimates import fit_hamiltonian_growth
 from ergolab.grid import build_grid
 from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
@@ -187,10 +192,6 @@ def test_cli_config_error_exit_code(tmp_path):
             3, "solve", ["--set", "grid.spacing=0.2", "--set", "model.gamma=1e6"],
             id="3-solve-args8",
         ),
-        pytest.param(
-            3, "lp", ["--set", "grid.spacing=0.2", "--set", "lp.xi_bound=1e200"],
-            id="3-lp-args9",
-        ),
     ],
 )
 def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
@@ -217,6 +218,10 @@ def test_cli_exit_codes_write_summary(tmp_path, code, command, args):
         ("full_verify", ["checks.sweep_size=10000000"], "'checks.sweep_size'"),  # x 81 nodes
         ("simulate", ["sde.horizon=1e300", "sde.timestep=1e-10"], "'sde'"),  # overflows
         ("lp", ["lp.xi_count=100000001"], "'lp.xi_count'"),  # an atom lattice over MAX_NODES
+        # one path has no standard error, and a NaN in summary.json is not JSON
+        ("simulate", ["sde.n_paths=1"], "'sde.n_paths'"),
+        ("compare", ["sde.n_paths=1"], "'sde.n_paths'"),
+        ("full_verify", ["sde.n_paths=1"], "'sde.n_paths'"),
     ],
 )
 def test_grids_and_work_sized_at_parse_time(tmp_path, capsys, command, args, key):
@@ -252,10 +257,10 @@ def test_unread_drift_parameter_rejected(tmp_path, capsys, sets, key):
     [
         (["potential.beta=3.0"], "potential.beta"),  # under quadratic_power
         (["potential.value=5.0"], "potential.value"),
-        (["potential.name=exp_abs"], "potential.name"),
+        (["potential.name=exp_abs"], "potential.name"),  # deleted: the family names it
         (["potential.family=power_beta", "potential.value=5.0"], "potential.value"),
-        (["potential.family=constant", "potential.name=exp_abs"], "potential.name"),
-        (["potential.family=named", "potential.beta=3.0"], "potential.beta"),
+        (["potential.family=constant", "potential.name=exp_abs"], "potential.name"),  # deleted
+        (["potential.family=exp_abs", "potential.beta=3.0"], "potential.beta"),
     ],
 )
 def test_unread_potential_parameter_rejected(tmp_path, capsys, sets, key):
@@ -268,7 +273,7 @@ def test_unread_potential_parameter_rejected(tmp_path, capsys, sets, key):
 
 @pytest.mark.parametrize(
     "family, key, value",
-    [("power_beta", "beta", 1.5), ("constant", "value", 1.0), ("named", "name", "quartic_sine")],
+    [("power_beta", "beta", 1.5), ("constant", "value", 1.0)],
 )
 def test_null_potential_parameter_is_the_family_default(family, key, value):
     given = parse_config(json.dumps({"potential": {"family": family, key: value}}))
@@ -283,7 +288,7 @@ def test_null_potential_parameter_is_the_family_default(family, key, value):
     [
         ('{"potential": {"family": "constant", "value": 0.5}}', "'potential'"),
         ('{"potential": {"family": "constant", "value": "abc"}}', "'potential'"),
-        ('{"potential": {"family": "named", "name": "bogus"}}', "'potential'"),
+        ('{"potential": {"family": "named", "name": "bogus"}}', "'potential.name'"),  # deleted
         ('{"model": {"drift_name": "sine", "drift_amplitude": "abc"}}', "'model.drift_amplitude'"),
         ('{"exhaust": {"radii": ["a", 4.0]}}', "'exhaust.radii'"),
         ('{"output": {"directory": 5}}', "'output.directory'"),
@@ -298,7 +303,7 @@ def test_kept_keys_checked_at_parse_time(text, key):
 
 
 def test_warnings_recorded(tmp_path):
-    sets = ["--set", "potential.family=named", "--set", "potential.name=quartic_sine"]
+    sets = ["--set", "potential.family=quartic_sine"]
     for i, extra in enumerate(([], sets)):
         assert main(["solve", "--out-dir", str(tmp_path / str(i))] + extra) == 0
     warned = [
@@ -307,6 +312,15 @@ def test_warnings_recorded(tmp_path):
     ]
     assert warned[0] == []
     assert len(warned[1]) == 1 and "not increasing toward the boundary" in warned[1][0]
+
+
+def test_outward_wall_drift_warning_recorded(tmp_path):
+    # a constant drift of 3 toward the left wall exceeds 1/h = 2 there
+    sets = ["model.drift_name=constant", "model.drift_vector=[-3.0]", "grid.spacing=0.5"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    assert main(["solve", "--out-dir", str(tmp_path)] + args) == 0
+    warned = json.loads((tmp_path / "summary.json").read_text())["results"]["warnings"]
+    assert len(warned) == 1 and "outward drift at a wall node reached 1/h" in warned[0]
 
 
 def test_simulation_compared_with_richardson_lambda(tmp_path):
@@ -339,6 +353,26 @@ def test_exhaust_never_sizes_the_grid(tmp_path):
     assert main(["exhaust", "--out-dir", str(tmp_path)] + sets) == 0
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert [r for r, _ in payload["results"]["exhaustion"]["sequence"]] == [1.0, 2.0]
+
+
+def test_exhaust_records_a_failed_radius(tmp_path, monkeypatch):
+    solve = ergolab.eigensolver.solve_ergodic_hjb
+
+    def fail_at_four(grid, *args, **kwargs):
+        if grid.radius == 4.0:
+            raise SingularEvaluationError("injected")
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(ergolab.eigensolver, "solve_ergodic_hjb", fail_at_four)
+    sets = ["--set", "exhaust.radii=[3.0,4.0,5.0]", "--set", "grid.spacing=0.1"]
+    # the other radii still run; the NaN fails the monotonicity check
+    assert main(["exhaust", "--out-dir", str(tmp_path)] + sets) == 1
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    seq = payload["results"]["exhaustion"]["sequence"]
+    assert [r for r, _ in seq] == [3.0, 4.0, 5.0]
+    assert np.isnan(seq[1][1]) and not np.isnan(seq[0][1]) and not np.isnan(seq[2][1])
+    assert payload["results"]["warnings"] == ["radius 4.0: injected"]
+    assert not payload["checks"]["exhaustion_nonincreasing"]["passed"]
 
 
 def test_work_budget_admits_criterion_6_and_counts_as_the_report(tmp_path, monkeypatch):
@@ -411,7 +445,8 @@ def test_tied_keys_independent_of_override_order(tmp_path):
             "unknown override path 'solver.boundary_mode'",
             id="solver.boundary_mode-unknown",
         ),
-        ("lp", "lp.xi_bound=-1", "'lp.xi_bound'"),
+        ("lp", "lp.xi_bound=-1", "'lp.xi_bound'"),  # deleted: the run derives the bound
+        ("solve", "potential.family=named", "'potential.family' unknown"),  # now five families
         ("compare", "compare.multipliers=[0.5,2.0]", "'compare.multipliers'"),  # no 1.0
         ("compare", "compare.multipliers=[1.0,1]", "'compare.multipliers'"),  # a repeat
         ("compare", 'compare.multipliers=[1.0,"2"]', "'compare.multipliers'"),
@@ -446,11 +481,12 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("solve", "grid.radius=Infinity", "'grid.radius' must be finite"),
         ("exhaust", "exhaust.radii=[3.0,Infinity]", "'exhaust.radii' must be finite"),
         ("compare", "compare.multipliers=[1.0,Infinity]", "'compare.multipliers' must be finite"),
-        ("lp", "lp.xi_bound=Infinity", "'lp.xi_bound' must be finite"),
-        ("lp", "lp.xi_bound=-Infinity", "'lp.xi_bound' must be finite"),
         ("solve", "model.gamma=NaN", "'model.gamma' must be finite"),
         ("solve", "model.drift_vector=[NaN]", "'model.drift_vector' must be finite"),
         ("solve", "grid.spacing=1e999", "'grid.spacing' must be finite"),  # overflows to inf
+        # deleted, so refused whatever the value
+        ("lp", "lp.xi_bound=Infinity", "'lp.xi_bound'"),
+        ("lp", "lp.xi_bound=-Infinity", "'lp.xi_bound'"),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
@@ -469,8 +505,7 @@ def test_cli_check_scenario_flags_bad_potential(tmp_path):
         [
             "check",
             "--out-dir", str(tmp_path),
-            "--set", "potential.family=named",
-            "--set", "potential.name=quartic_sine",
+            "--set", "potential.family=quartic_sine",
             "--set", "grid.radius=6.0",
             "--set", "grid.spacing=0.01",
         ]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import ergolab.density
 from ergolab.density import (
     DensityField,
     ReducibleChainError,
@@ -164,6 +165,29 @@ def test_density_reuses_the_solution_factor(dim, radius, spacing):
     assert sol.solver.reused
     own = stationary_density(g, sol.xi_u).rho
     assert np.abs(shared - own).max() <= 1e-12 * own.max()
+
+
+def test_density_check_failed_on_a_held_factor_solves_again(monkeypatch):
+    g = build_grid(1, 6.0, 0.02)
+    sol = solve_ergodic_hjb(g, pure_power(1.5), quadratic_power_potential(1.5))
+    null_vector = ergolab.density._null_vector
+    failed = []
+
+    def fail_once_on_the_held_factor(grid, A, solver):
+        rho = null_vector(grid, A, solver)
+        if solver.reused and not failed:
+            failed.append(True)
+            raise ReducibleChainError("injected")
+        return rho
+
+    monkeypatch.setattr(ergolab.density, "_null_vector", fail_once_on_the_held_factor)
+    factorizations = sol.solver.factorizations
+    rho = stationary_density(g, sol.xi_u, sol.solver).rho
+    assert failed
+    assert sol.solver.factorizations == factorizations + 1
+    assert not sol.solver.reused
+    fresh = stationary_density(g, sol.xi_u).rho
+    assert np.abs(rho - fresh).max() <= 1e-12 * fresh.max()
 
 
 def test_exact_pair_measure_feasible(manufactured_1d):

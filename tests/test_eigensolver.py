@@ -145,6 +145,22 @@ def test_1d_default_solve_has_no_coarse_level():
     assert sol.levels == []
 
 
+def test_1d_coarse_start_matches_a_cold_solve(monkeypatch):
+    # 4,001 nodes: the 2h grid (2,001 nodes) is solved first and prolonged
+    # by linear interpolation
+    g = build_grid(1, 6.0, 0.003)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    warm = solve_ergodic_hjb(g, model, pot)
+    assert [level["nodes"] for level in warm.levels] == [2001]
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 10**9)
+    cold = solve_ergodic_hjb(g, model, pot)
+    assert cold.levels == []
+    assert warm.converged and cold.converged
+    assert warm.iterations < cold.iterations
+    assert abs(warm.lam - cold.lam) <= 1e-9
+    assert np.abs(warm.u - cold.u).max() <= 1e-9
+
+
 @pytest.mark.parametrize("failure", ["raises", "does_not_converge"])
 def test_failed_coarse_level_falls_back_to_the_zero_control(monkeypatch, failure):
     # 101^2 nodes: the 0.2 grid (2,601 nodes) is a coarse level

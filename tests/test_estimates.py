@@ -20,10 +20,11 @@ from ergolab.hamiltonian import (
     PotentialSpec,
     constant_potential,
     drift_power,
-    named_potential,
+    exp_abs_potential,
     power_beta_potential,
     pure_power,
     quadratic_power_potential,
+    quartic_sine_potential,
 )
 
 
@@ -52,12 +53,12 @@ def test_gradient_growth_passes_on_exponential(audit_grid):
     # exponential growth has no power envelope yet satisfies the gradient
     # bound: the audit pair below separates the two condition classes
     g = build_grid(1, 12.0, 0.05)
-    rep = check_potential_gradient_growth(named_potential("exp_abs"), g, 1.5)
+    rep = check_potential_gradient_growth(exp_abs_potential(), g, 1.5)
     assert rep.passed
 
 
 def test_gradient_growth_fails_on_oscillatory_quartic(audit_grid):
-    rep = check_potential_gradient_growth(named_potential("quartic_sine"), audit_grid, 1.5)
+    rep = check_potential_gradient_growth(quartic_sine_potential(), audit_grid, 1.5)
     assert not rep.passed
     assert rep.sweep[-1] / rep.sweep[0] > 1.5
 
@@ -77,11 +78,11 @@ def test_envelope_fits_power_family():
 
 def test_envelope_fails_on_exponential():
     g = build_grid(1, 12.0, 0.05)
-    rep = check_polynomial_envelope(named_potential("exp_abs"), g)
+    rep = check_polynomial_envelope(exp_abs_potential(), g)
     assert not rep.passed
     # the misfit grows with the window, confirming no power law exists
     g_small = build_grid(1, 8.0, 0.05)
-    rep_small = check_polynomial_envelope(named_potential("exp_abs"), g_small)
+    rep_small = check_polynomial_envelope(exp_abs_potential(), g_small)
     assert rep.details["log_residual"] > rep_small.details["log_residual"]
 
 

@@ -6,13 +6,14 @@ from ergolab.hamiltonian import (
     constant_potential,
     drift_power,
     duality_gap,
+    exp_abs_potential,
     hamiltonian_value,
     lagrangian_value,
-    named_potential,
     optimal_control,
     power_beta_potential,
     pure_power,
     quadratic_power_potential,
+    quartic_sine_potential,
     running_cost,
 )
 
@@ -154,11 +155,9 @@ def test_potential_families():
     assert pb.values(x)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         constant_potential(0.5)
-    with pytest.raises(ValueError):
-        named_potential("no_such_potential")
-    qs = named_potential("quartic_sine")
+    qs = quartic_sine_potential()
     assert qs.values(np.array([[0.0]]))[0] == pytest.approx(2.0)
-    ea = named_potential("exp_abs")
+    ea = exp_abs_potential()
     assert ea.values(np.array([[0.0]]))[0] == pytest.approx(2.0)
     assert ea.values(np.array([[2.0]]))[0] == pytest.approx(1 + np.e**2)
 

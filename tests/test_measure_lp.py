@@ -235,6 +235,16 @@ def test_highs_status_checked(lp_instance):
         solve_lp(huge)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_running_cost_refused():
+    # |xi|^3 / 3 overflows at atoms of 1e200: no column may reach HiGHS
+    g = build_grid(1, 4.0, 0.2)
+    problem = assemble_lp(g, uniform_xi_atoms(1e200, 3, 1), pure_power(1.5),
+                          quadratic_power_potential(1.5))
+    with pytest.raises(LPSolveError, match="not finite"):
+        solve_lp(problem)
+
+
 def test_objective_shift_moves_value_exactly(lp_instance):
     _, _, _, _, _, problem, _, lam_bar = lp_instance
     delta = 0.37

@@ -13,13 +13,13 @@ import pytest
 from ergolab.cli import main
 
 
-@pytest.mark.filterwarnings("ignore:potential .named. is not increasing")  # quartic_sine
+@pytest.mark.filterwarnings("ignore:potential .quartic_sine. is not increasing")
 @pytest.mark.parametrize(
     "name, code, failed",
     [("exp_abs", 0, set()), ("quartic_sine", 1, {"potential_gradient_growth"})],
 )
 def test_full_verify_on_named_potential(tmp_path, name, code, failed):
-    args = ["--set", "potential.family=named", "--set", f"potential.name={name}"]
+    args = ["--set", f"potential.family={name}"]
     args += ["--set", "sde.horizon=20"]
     assert main(["full_verify", "--out-dir", str(tmp_path)] + args) == code
     payload = json.loads((tmp_path / "summary.json").read_text())

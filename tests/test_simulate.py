@@ -7,6 +7,8 @@ from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import bilinear, build_grid, fill_boundary_nearest
 from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.simulate import (
+    ComparisonReport,
+    ErgodicAverageReport,
     SimParams,
     _run_paths,
     compare_controls,
@@ -129,6 +131,31 @@ def test_non_finite_paths_flagged_divergent(instance):
     nan_paths = ~np.isfinite(out["path_averages"])
     assert 0 < nan_paths.sum() < p.n_paths
     assert np.array_equal(out["diverged"], nan_paths)
+
+
+def _synthetic_report(half_averages, diverged=(False, False, False)):
+    half = np.asarray(half_averages, dtype=float)
+    return ErgodicAverageReport(
+        path_averages=half,
+        half_averages=half,
+        admissibility=np.zeros(half.size),
+        admissibility_ratio=np.ones(half.size),
+        diverged=np.asarray(diverged),
+        params=SimParams(horizon=1.0, timestep=1e-3, n_paths=half.size, seed=0),
+    )
+
+
+def test_pathwise_dominance_on_synthetic_reports():
+    low, high = _synthetic_report([1.0, 1.0, 1.1]), _synthetic_report([2.0, 2.1, 2.2])
+    comp = ComparisonReport(reports={"low": low, "high": high})
+    assert comp.pathwise_dominates("low")
+    assert not comp.pathwise_dominates("high")  # 5 standard errors of "low" are 0.17
+    # a path that diverged under either control is left out of the pair
+    spiked = _synthetic_report([1.0, 9.0, 1.1], diverged=(False, True, False))
+    assert ComparisonReport(reports={"spiked": spiked, "high": high}).pathwise_dominates("spiked")
+    # and a pair in which every path diverged says nothing against the reference
+    lost = _synthetic_report([0.0, 0.0, 0.0], diverged=(True, True, True))
+    assert ComparisonReport(reports={"low": low, "lost": lost}).pathwise_dominates("low")
 
 
 def test_ou_quadratic_statistical(instance):
