@@ -102,7 +102,7 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     return out
 
 
-def _require_number(cfg: dict, path: str, low=None, high=None, message=None):
+def _require_number(cfg: dict, path: str, low=None, message=None):
     node = cfg
     for part in path.split("."):
         node = node[part]
@@ -110,8 +110,6 @@ def _require_number(cfg: dict, path: str, low=None, high=None, message=None):
         raise ConfigError(f"{path!r} must be a number")
     if low is not None and not node > low:
         raise ConfigError(message or f"{path!r} must exceed {low}")
-    if high is not None and not node <= high:
-        raise ConfigError(message or f"{path!r} must be <= {high}")
 
 
 def _require_finite(node, path: str = "") -> None:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .grid import Grid
 
-CONJUGATE_TOL = 1e-14
 EPS_GRAD = 1e-12  # optimal_control treats |p| <= EPS_GRAD as zero
 
 
@@ -41,10 +40,7 @@ def pure_power(gamma: float) -> HamiltonianModel:
     gamma = float(gamma)
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    gstar = gamma / (gamma - 1.0)
-    if abs(1.0 / gamma + 1.0 / gstar - 1.0) > CONJUGATE_TOL:
-        raise ValueError("conjugate exponent identity failed")
-    return HamiltonianModel(gamma, gstar)
+    return HamiltonianModel(gamma, gamma / (gamma - 1.0))
 
 
 def drift_power(gamma: float, drift: Callable[[np.ndarray], np.ndarray]) -> HamiltonianModel:

@@ -142,13 +142,14 @@ def _snap(values: np.ndarray, q: float) -> None:
 class BorderedSolver:
     """Solver for the bordered system of one generator A at a time.
 
-    ``solve`` first refines with the factor it holds from an earlier call,
-    while each step cuts the residual at least ``_CUT``-fold; a held factor
-    that stalls above the tolerance is dropped before the system is factored
-    afresh (COLAMD ordering), so two factors are never alive at once.  The
-    fresh path takes one refinement step when its residual exceeds the
-    tolerance, and the caller checks what it returns.  The counters feed the
-    solve and density stats of a run.
+    ``solve`` returns a solve within its tolerance or raises.  It first
+    refines with the factor it holds from an earlier call, while each step
+    cuts the residual at least ``_CUT``-fold; a held factor that stalls above
+    the tolerance is dropped before the system is factored afresh (COLAMD
+    ordering), so two factors are never alive at once.  A fresh factor
+    refines by the same rule until it meets the tolerance, and raises when it
+    stalls short of it.  The counters feed the solve and density stats of a
+    run.
     """
 
     _CUT = 10.0  # a held factor is kept while every step gains a digit
@@ -166,10 +167,12 @@ class BorderedSolver:
         self, grid: Grid, A: sparse.spmatrix, b: np.ndarray, tol: float, trans: str = "N"
     ) -> np.ndarray:
         """Solution of the bordered system (its transpose for ``trans="T"``)
-        with right-hand side ``b``; its relative residual
-        ``|S x - b|_inf / (1 + |b|_inf)`` is left in ``residual``.
+        with right-hand side ``b`` whose relative residual
+        ``|S x - b|_inf / (1 + |b|_inf)`` is at most ``tol``; the residual is
+        left in ``residual``.
 
-        Raises RuntimeError when a fresh factor is singular.
+        Raises RuntimeError when a fresh factor is singular or its refined
+        residual is not at most ``tol`` (a NaN residual included).
         """
         nint = grid.num_interior
         origin = grid.interior_index[grid.origin_id]
@@ -184,9 +187,9 @@ class BorderedSolver:
         scale = 1.0 + np.abs(b).max()
         self.unknowns, self.operator_nnz = nint + 1, A.nnz
         if self._lu is not None:
-            x, resid = self._refine(product, b, scale, trans)
-            if resid <= tol:
-                self.reused, self.residual = True, resid
+            x, self.residual = self._refine(product, b, scale, trans, 0.0)
+            self.reused = bool(self.residual <= tol)
+            if self.reused:
                 return x
             self.drop()  # before splu allocates: never two factors at once
         # the bordered matrix is built only to be factored, so a solve served
@@ -197,25 +200,23 @@ class BorderedSolver:
         del system
         self.factorizations += 1
         self.reused = False
-        x = self._lu.solve(b, trans=trans)
-        d = b - product(x)
-        resid = np.abs(d).max() / scale
-        if not resid <= tol:
-            # on fine 2d grids the direct solve alone can miss the tolerance by
-            # a small factor (2.3e-10 at 160,801 nodes); one step recovers it
-            x = x + self._lu.solve(d, trans=trans)
-            self.refinement_solves += 1
-            resid = np.abs(b - product(x)).max() / scale
-        self.residual = resid
+        # on fine 2d grids the direct solve alone can miss the tolerance by a
+        # small factor (2.3e-10 at 160,801 nodes); one refinement step recovers it
+        x, self.residual = self._refine(product, b, scale, trans, tol)
+        if not self.residual <= tol:
+            raise RuntimeError(f"residual {self.residual:.3e} exceeds tolerance {tol:.1e}")
         return x
 
-    def _refine(self, product, b: np.ndarray, scale: float, trans: str) -> tuple[np.ndarray, float]:
-        """Iterative refinement with the held factor until a step gains less
-        than ``_CUT``-fold; returns the best iterate and its residual."""
+    def _refine(
+        self, product, b: np.ndarray, scale: float, trans: str, stop: float
+    ) -> tuple[np.ndarray, float]:
+        """Iterative refinement with the held factor until the residual is at
+        most ``stop`` or a step gains less than ``_CUT``-fold; returns the
+        best iterate and its residual."""
         x = self._lu.solve(b, trans=trans)
         d = b - product(x)
         resid = np.abs(d).max() / scale
-        while resid > 0:
+        while resid > stop:
             x_next = x + self._lu.solve(d, trans=trans)
             self.refinement_solves += 1
             d_next = b - product(x_next)

@@ -68,22 +68,21 @@ def write_measure_csv(path: Path, measure) -> None:
     write_csv(path, header, rows[order])
 
 
-class _ReportEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, np.bool_):
-            return bool(o)
-        return super().default(o)
+def _plain(o):
+    """``o`` in plain JSON types: numpy scalars and arrays unwrapped, and a NaN
+    or infinite float as None, so that a strict JSON parser reads the file."""
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in o]
+    if isinstance(o, (float, np.floating)):
+        return float(o) if np.isfinite(o) else None
+    return o.item() if isinstance(o, np.generic) else o
 
 
 def write_json(path: Path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, cls=_ReportEncoder)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

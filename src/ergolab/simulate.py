@@ -189,8 +189,11 @@ class ComparisonReport:
 
     def pathwise_dominates(self, reference: str) -> bool:
         """True when the reference's half-window average beats every competitor
-        path by path, within ``PATHWISE_SIGMAS`` standard errors (common noise)."""
+        path by path, within ``PATHWISE_SIGMAS`` standard errors (common noise);
+        False when every path of the reference diverged, which compares nothing."""
         ref = self.reports[reference]
+        if ref.diverged.all():
+            return False
         for name, rep in self.reports.items():
             if name == reference:
                 continue

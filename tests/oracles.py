@@ -1,6 +1,8 @@
 """Reference constructions shared by several test modules."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -74,3 +76,12 @@ def tabulated_potential(grid: Grid, values: np.ndarray) -> PotentialSpec:
         lambda x: values[lookup_ids(x)],
         lambda x: grads[lookup_ids(x)],
     )
+
+
+def read_strict_json(path) -> dict:
+    """Parse a JSON file as a strict parser does, refusing NaN and +-Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)

@@ -168,6 +168,7 @@ def test_criterion_5_singleton_minimizer(lp_setup):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_simulation():
     # solved on a wider box than criterion 1: paths under xi_u and 2*xi_u
     # stay well inside the wall at |x| = 10 (they peak near 6.8 and 4.2), so

@@ -23,6 +23,7 @@ from ergolab.grid import build_grid
 from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.runner import STAGES, run_scenario
 from ergolab.serialize import write_csv
+from oracles import read_strict_json
 
 
 def test_minimal_config_gets_defaults():
@@ -365,12 +366,13 @@ def test_exhaust_records_a_failed_radius(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ergolab.eigensolver, "solve_ergodic_hjb", fail_at_four)
     sets = ["--set", "exhaust.radii=[3.0,4.0,5.0]", "--set", "grid.spacing=0.1"]
-    # the other radii still run; the NaN fails the monotonicity check
+    # the other radii still run; the NaN fails the monotonicity check, and
+    # summary.json writes it as null
     assert main(["exhaust", "--out-dir", str(tmp_path)] + sets) == 1
-    payload = json.loads((tmp_path / "summary.json").read_text())
+    payload = read_strict_json(tmp_path / "summary.json")
     seq = payload["results"]["exhaustion"]["sequence"]
     assert [r for r, _ in seq] == [3.0, 4.0, 5.0]
-    assert np.isnan(seq[1][1]) and not np.isnan(seq[0][1]) and not np.isnan(seq[2][1])
+    assert seq[1][1] is None and np.isfinite(seq[0][1]) and np.isfinite(seq[2][1])
     assert payload["results"]["warnings"] == ["radius 4.0: injected"]
     assert not payload["checks"]["exhaustion_nonincreasing"]["passed"]
 

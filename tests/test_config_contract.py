@@ -20,6 +20,7 @@ import ergolab.config
 import ergolab.grid
 from ergolab.config import DEFAULTS, SCENARIOS, ConfigError, parse_config
 from ergolab.runner import run_scenario
+from oracles import read_strict_json
 
 
 def _leaves(node: dict, prefix: str = ""):
@@ -90,6 +91,6 @@ def test_every_config_is_refused_at_parse_time_or_runs_to_a_summary(scenario, ba
             return
         with tempfile.TemporaryDirectory() as out:
             report = run_scenario(config, out)
-            summary = json.loads((Path(out) / "summary.json").read_text())
+            summary = read_strict_json(Path(out) / "summary.json")
     assert report.exit_code in (0, 1, 3)
     assert summary["exit_code"] == report.exit_code

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+import ergolab.density
 import ergolab.eigensolver as eigensolver
 import ergolab.operators as operators
-from ergolab.density import average_cost, stationary_density
+from ergolab.density import ReducibleChainError, average_cost, stationary_density
 from ergolab.eigensolver import (
     SingularEvaluationError,
     SolverOptions,
@@ -118,6 +119,45 @@ def test_held_factor_that_stalls_is_replaced():
     tol = SolverOptions().eval_tolerance
     assert abs(lam - lam_fresh) <= tol
     assert np.abs(u - u_fresh).max() <= tol
+
+
+def test_fresh_factor_that_misses_the_tolerance_raises():
+    g = build_grid(2, 3.0, 0.1)
+    A, _ = operators.assemble_generator(g, np.zeros((g.num_nodes, 2)))
+    b = np.append(1.0 + (g.coords[g.interior_ids] ** 2).sum(axis=1), 0.0)
+    solver = BorderedSolver()
+    with pytest.raises(RuntimeError, match="exceeds tolerance"):
+        solver.solve(g, A, b, 1e-30)
+    assert solver.factorizations == 1
+    assert 1e-30 < solver.residual < 1e-12  # refined until it stalled
+    # a NaN fails the held factor, then the fresh one
+    b[0] = np.nan
+    with pytest.raises(RuntimeError, match="residual nan"):
+        solver.solve(g, A, b, 1e-10)
+    assert solver.factorizations == 2
+
+
+@pytest.mark.parametrize(
+    "scale, tol",
+    [
+        (1.0, 1e-30),  # a residual of about 1e-13 misses the tolerance
+        (1e306, 1e-10),  # the solution overflows, and the residual is NaN
+    ],
+)
+def test_policy_evaluation_reports_a_refused_solve(scale, tol):
+    g = build_grid(1, 4.0, 0.1)
+    cost = scale * (g.coords[:, 0] / g.radius) ** 2
+    with pytest.raises(SingularEvaluationError, match="exceeds tolerance"):
+        policy_evaluation(
+            g, np.zeros((g.num_nodes, 1)), cost, SolverOptions(eval_tolerance=tol)
+        )
+
+
+def test_stationary_density_reports_a_refused_solve(monkeypatch):
+    g = build_grid(1, 4.0, 0.1)
+    monkeypatch.setattr(ergolab.density, "ADJOINT_TOL", 1e-30)
+    with pytest.raises(ReducibleChainError, match="adjoint solve failed"):
+        stationary_density(g, np.zeros((g.num_nodes, 1)))
 
 
 def test_coarse_start_matches_a_cold_solve(monkeypatch):

@@ -156,6 +156,8 @@ def test_pathwise_dominance_on_synthetic_reports():
     # and a pair in which every path diverged says nothing against the reference
     lost = _synthetic_report([0.0, 0.0, 0.0], diverged=(True, True, True))
     assert ComparisonReport(reports={"low": low, "lost": lost}).pathwise_dominates("low")
+    # a reference whose paths all diverged compares nothing, so it ranks nowhere
+    assert not ComparisonReport(reports={"lost": lost, "high": high}).pathwise_dominates("lost")
 
 
 def test_ou_quadratic_statistical(instance):
