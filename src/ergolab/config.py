@@ -112,6 +112,10 @@ def _require_number(cfg: dict, path: str, low=None, message=None):
         raise ConfigError(message or f"{path!r} must exceed {low}")
 
 
+def _is_number_list(node) -> bool:
+    return isinstance(node, list) and all(type(v) in (int, float) for v in node)
+
+
 def _require_finite(node, path: str = "") -> None:
     """Refuse NaN and +-Infinity anywhere in the config, naming the key: JSON's
     NaN/Infinity tokens and a literal that overflows, such as 1e999."""
@@ -153,6 +157,11 @@ def _validate(cfg: dict) -> dict:
     if fam == "power_beta" and cfg["potential"]["beta"] is not None:
         _require_number(cfg, "potential.beta", low=0.0)
     _require_number(cfg, "checks.sim_sigmas", low=0.0)
+    # the constructors below read these through float(), which takes true for 1.0
+    for path in ("solver.eval_tolerance", "sde.horizon", "sde.timestep"):
+        _require_number(cfg, path)
+    if cfg["sde"]["x0"] is not None and not _is_number_list(cfg["sde"]["x0"]):
+        raise ConfigError("'sde.x0' must be null or a list of numbers")
     size = cfg["checks"]["sweep_size"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ConfigError(f"'checks.sweep_size' must be an integer >= 1, got {size!r}")
@@ -170,7 +179,7 @@ def _validate(cfg: dict) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section!r}: {exc}") from exc
     radii = cfg["exhaust"]["radii"]
-    if not (isinstance(radii, list) and radii and all(type(r) in (int, float) for r in radii)):
+    if not (radii and _is_number_list(radii)):
         raise ConfigError("'exhaust.radii' must be a non-empty list of numbers")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("'exhaust.radii' must be strictly increasing")
@@ -178,9 +187,9 @@ def _validate(cfg: dict) -> dict:
     if not isinstance(count, int) or count < 3 or count % 2 == 0:
         raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
     mults = cfg["compare"]["multipliers"]
-    numbers = isinstance(mults, list) and all(type(m) in (int, float) for m in mults)
     # multiplier m names its report f"{m:g}*xi_u", and 1.0 is the reference
-    if not (numbers and 1.0 in mults and len({f"{m:g}" for m in mults}) == len(mults)):
+    distinct = _is_number_list(mults) and len({f"{m:g}" for m in mults}) == len(mults)
+    if not (distinct and 1.0 in mults):
         raise ConfigError(
             "'compare.multipliers' must list distinct numbers (to the 6 digits of"
             f" their report names), one of them 1.0, got {mults!r}"
@@ -256,8 +265,7 @@ class RunConfig:
         if name == "sine":
             fn = lambda x: amp * np.sin(x)
         else:
-            numbers = isinstance(vec, list) and all(type(v) in (int, float) for v in vec)
-            if not (numbers and len(vec) == dim):
+            if not (_is_number_list(vec) and len(vec) == dim):
                 raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} numbers")
             vec = np.asarray(vec, dtype=float)
             fn = lambda x: np.tile(vec, (x.shape[0], 1))

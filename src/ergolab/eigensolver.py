@@ -22,7 +22,9 @@ One ``operators.BorderedSolver`` is carried through the iteration on each
 grid: near convergence the control moves little, so the factor of an
 earlier evaluation serves the next by iterative refinement and only the
 first evaluations factor.  The solution keeps that solver, and with it the
-last factor, for the stationary density's transposed solve.
+last factor, for the stationary density's transposed solve.  It also keeps
+the model and potential it solves, so the routines that evaluate a solution
+take no model or potential of their own.
 """
 
 from __future__ import annotations
@@ -95,12 +97,14 @@ class SolverOptions:
 
 @dataclass
 class ErgodicSolution:
+    """(u, lambda) stored with the ``model`` (H) and ``potential`` (f) it solves;
+    ``xi_u``, ``residual_sup`` and ``iterations`` are derived on each read."""
+
     u: np.ndarray  # (N,), shifted so min u = 1
     lam: float
-    xi_u: np.ndarray  # (N, d), optimal control, zero on the boundary layer
-    residual_sup: float
-    iterations: int
     grid: Grid
+    model: HamiltonianModel
+    potential: PotentialSpec
     converged: bool
     # per iteration: lambda, sup control step and evaluation residual
     iteration_stats: list = field(default_factory=list)
@@ -109,6 +113,20 @@ class ErgodicSolution:
     # the coarse levels this solve started from, coarsest first: nodes,
     # iterations, factorizations, refinement solves and lambda
     levels: list = field(default_factory=list)
+
+    @property
+    def xi_u(self) -> np.ndarray:
+        """(N, d) optimal control D_p H(x, Du), zero on the boundary layer."""
+        return policy_improvement(self.grid, self.u, self.model)
+
+    @property
+    def residual_sup(self) -> float:
+        """Sup-norm of the equation defect over interior nodes."""
+        return pde_residual(self)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iteration_stats)
 
 
 def policy_evaluation(
@@ -293,15 +311,13 @@ def solve_ergodic_hjb(
     solver = BorderedSolver()
     u = np.zeros(grid.num_nodes)
     converged = False
-    iterations = 0
     drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
-    for k in range(opts.max_policy_iters):
+    for _ in range(opts.max_policy_iters):
         cost = fvals + lagrangian_value(model, coords, control)
         if not np.isfinite(cost).all():  # the potential or the Lagrangian overflowed
             raise SingularEvaluationError("the running cost is not finite on this grid")
         u, lam = policy_evaluation(grid, control, cost, opts, solver)
         new_control = policy_improvement(grid, u, model)
-        iterations = k + 1
         step = float(np.abs(new_control - control).max())
         iteration_stats.append(
             {"lambda": lam, "control_step": step, "residual": float(solver.residual)}
@@ -323,50 +339,41 @@ def solve_ergodic_hjb(
             converged = True
             break
         lam_prev = lam
-    u_shifted = u - u.min() + 1.0
-    xi_u = policy_improvement(grid, u_shifted, model)
-    sol = ErgodicSolution(
-        u=u_shifted,
+    return ErgodicSolution(
+        u=u - u.min() + 1.0,
         lam=float(lam),
-        xi_u=xi_u,
-        residual_sup=0.0,
-        iterations=iterations,
         grid=grid,
+        model=model,
+        potential=potential,
         converged=converged,
         iteration_stats=iteration_stats,
         solver=solver,
         levels=levels,
     )
-    sol.residual_sup = pde_residual(sol, model, potential)
-    return sol
 
 
-def pointwise_residual(
-    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
-) -> np.ndarray:
+def pointwise_residual(solution: ErgodicSolution) -> np.ndarray:
     """|-Lap u + H(x, Du) - f + lambda| per interior node (zero elsewhere).
 
-    Du is the same centered/inward-fallback gradient that defines the stored
-    control, so the reported defect reflects the one-sided bias of the scheme
-    rather than a re-discretization.
+    H and f are the solution's own.  Du is the same centered/inward-fallback
+    gradient that defines the solution's control, so the reported defect
+    reflects the one-sided bias of the scheme rather than a re-discretization.
     """
     grid = solution.grid
     u = check_scalar_field(solution.u, grid)
     lap = laplacian(u, grid)
     du = gradient_inward_fallback(u, grid)
-    fvals = potential.on_grid(grid)
+    fvals = solution.potential.on_grid(grid)
     out = np.zeros(grid.num_nodes)
     ids = grid.interior_ids
-    hvals = hamiltonian_value(model, grid.coords[ids], du[ids])
+    hvals = hamiltonian_value(solution.model, grid.coords[ids], du[ids])
     out[ids] = np.abs(-lap[ids] + hvals - fvals[ids] + solution.lam)
     return out
 
 
-def pde_residual(
-    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
-) -> float:
+def pde_residual(solution: ErgodicSolution) -> float:
     """Sup-norm of the pointwise equation defect over interior nodes."""
-    return float(pointwise_residual(solution, model, potential).max())
+    return float(pointwise_residual(solution).max())
 
 
 def domain_exhaustion(

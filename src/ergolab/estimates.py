@@ -139,13 +139,9 @@ def _sample_centers(grid: Grid, margin: float) -> np.ndarray:
 
 
 def _gradient_ratio_constant(
-    solution: ErgodicSolution,
-    potential: PotentialSpec,
-    radii: list,
-    gamma: float,
-    include_gradient_term: bool,
+    solution: ErgodicSolution, radii: list, include_gradient_term: bool
 ) -> tuple[float, tuple]:
-    grid = solution.grid
+    grid, potential, gamma = solution.grid, solution.potential, solution.model.gamma
     du = np.linalg.norm(gradient_inward_fallback(solution.u, grid), axis=1)
     f = potential.on_grid(grid)
     df = np.linalg.norm(potential.grad_on_grid(grid), axis=1)
@@ -177,14 +173,12 @@ def _stable(a: float, b: float) -> bool:
 def check_gradient_bound(
     solution: ErgodicSolution,
     refined: ErgodicSolution,
-    model: HamiltonianModel,
-    potential: PotentialSpec,
     radii: list,
     include_gradient_term: bool = True,
 ) -> EstimateReport:
     """Audit the local gradient estimate sup_{B_r} |Du| against the scaled
     right-hand side r^(-1/(g-1)) + sup (f - lambda)_+^(1/g) + sup |Df|^(1/(2g-1)),
-    with g the model's gamma.
+    with g the solution model's gamma and f its potential.
 
     With include_gradient_term=False the |Df| term is dropped, the form valid
     once the potential satisfies the gradient-growth condition.  The constant
@@ -192,8 +186,7 @@ def check_gradient_bound(
     stability within 25% passes.
     """
     (c_h, witness), (c_half, _) = (
-        _gradient_ratio_constant(sol, potential, radii, model.gamma, include_gradient_term)
-        for sol in (solution, refined)
+        _gradient_ratio_constant(sol, radii, include_gradient_term) for sol in (solution, refined)
     )
     return EstimateReport(
         name="gradient_bound",
@@ -206,10 +199,7 @@ def check_gradient_bound(
 
 
 def _lower_bound_constants(
-    solution: ErgodicSolution,
-    potential: PotentialSpec,
-    kappa_exponent: float,
-    scale_exponent: float,
+    solution: ErgodicSolution, kappa_exponent: float, scale_exponent: float
 ) -> tuple[float, float, tuple, float]:
     """(M0, kappa, witness, coverage) for the two lower-bound audits.
 
@@ -217,10 +207,9 @@ def _lower_bound_constants(
     balls of radius 0.5 * f^scale_exponent against f^kappa_exponent from
     below.  Ball radii are rounded to whole grid steps, minimum one step.
     """
-    grid = solution.grid
-    u = solution.u
-    f = potential.on_grid(grid)
-    du = np.linalg.norm(gradient_inward_fallback(solution.u, grid), axis=1)
+    grid, u = solution.grid, solution.u
+    f = solution.potential.on_grid(grid)
+    du = np.linalg.norm(gradient_inward_fallback(u, grid), axis=1)
     ids = grid.interior_ids
     m0 = float(np.max(du[ids] ** 2 / (u[ids] * f[ids])))
     witness = tuple(grid.coords[ids[int(np.argmax(du[ids] ** 2 / (u[ids] * f[ids])))]])
@@ -238,19 +227,14 @@ def _lower_bound_constants(
     return m0, float(kappa), witness, coverage
 
 
-def check_value_lower_bounds(
-    solution: ErgodicSolution,
-    refined: ErgodicSolution,
-    model: HamiltonianModel,
-    potential: PotentialSpec,
-) -> EstimateReport:
+def check_value_lower_bounds(solution: ErgodicSolution, refined: ErgodicSolution) -> EstimateReport:
     """Audit the subquadratic lower-bound pair: |Du|^2/u <= M0 f, and
     inf u over f^(-1/g*)-scaled balls >= kappa f^((g*-2)/g*), refit on
     ``refined``, the same instance solved at half the spacing."""
-    gstar = model.gamma_star
+    gstar = solution.model.gamma_star
     exponents = ((gstar - 2.0) / gstar, -1.0 / gstar)
-    m0, kappa, witness, coverage = _lower_bound_constants(solution, potential, *exponents)
-    m0_half, kappa_half, _, _ = _lower_bound_constants(refined, potential, *exponents)
+    m0, kappa, witness, coverage = _lower_bound_constants(solution, *exponents)
+    m0_half, kappa_half, _, _ = _lower_bound_constants(refined, *exponents)
     return EstimateReport(
         name="value_lower_bounds",
         fitted_constant=m0,

@@ -20,8 +20,12 @@ EPS_GRAD = 1e-12  # optimal_control treats |p| <= EPS_GRAD as zero
 @dataclass(frozen=True)
 class HamiltonianModel:
     gamma: float
-    gamma_star: float
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None  # None: b = 0
+
+    @property
+    def gamma_star(self) -> float:
+        """The conjugate exponent g* with 1/g + 1/g* = 1."""
+        return self.gamma / (self.gamma - 1.0)
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
         """b(x), shape (n, d); for b = 0 a read-only view of zeros that
@@ -40,13 +44,12 @@ def pure_power(gamma: float) -> HamiltonianModel:
     gamma = float(gamma)
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    return HamiltonianModel(gamma, gamma / (gamma - 1.0))
+    return HamiltonianModel(gamma)
 
 
 def drift_power(gamma: float, drift: Callable[[np.ndarray], np.ndarray]) -> HamiltonianModel:
     """Hamiltonian b(x).p + |p|^gamma / gamma with a bounded drift b."""
-    base = pure_power(gamma)
-    return HamiltonianModel(base.gamma, base.gamma_star, drift)
+    return HamiltonianModel(pure_power(gamma).gamma, drift)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -164,6 +167,8 @@ def power_beta_potential(beta: float) -> PotentialSpec:
 
 
 def constant_potential(value: float) -> PotentialSpec:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        raise TypeError(f"value must be a number, got {value!r}")  # float() takes True as 1.0
     value = float(value)
     if value < 1.0:
         raise ValueError("constant potential must be >= 1")

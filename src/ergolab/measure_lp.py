@@ -302,35 +302,31 @@ def _upwind_pairing(xi: np.ndarray, dminus: np.ndarray, dplus: np.ndarray) -> np
     return np.sum(xi * chosen, axis=1)
 
 
-def excess_cost_identity(
-    measure: GridMeasure,
-    solution: ErgodicSolution,
-    model: HamiltonianModel,
-    potential: PotentialSpec,
-) -> tuple[float, float]:
+def excess_cost_identity(measure: GridMeasure, solution: ErgodicSolution) -> tuple[float, float]:
     """Decompose a feasible measure's excess cost over the eigenvalue.
 
     Returns (lhs, rhs) with lhs = mu(F) - lambda and rhs the integral of the
     pointwise convex-duality defect of the measure's control against the
-    solution's control under the discrete upwind pairing.  For measures
-    feasible to 1e-9 against the shared stencils the two sides agree to
-    1e-6 relative, and rhs is nonnegative up to the same resolution; this is
-    the discrete form of the excess-cost inequality that forces every
-    invariant measure to pay at least lambda.
+    solution's control under the discrete upwind pairing, both read with the
+    solution's own model and potential.  For measures feasible to 1e-9
+    against the shared stencils the two sides agree to 1e-6 relative, and rhs
+    is nonnegative up to the same resolution; this is the discrete form of the
+    excess-cost inequality that forces every invariant measure to pay at
+    least lambda.
     """
     grid = measure.grid
     if grid != solution.grid:
         raise ValueError("measure and solution grids differ")
-    u = solution.u
-    lam = solution.lam
-    dminus, dplus = one_sided_differences(u, grid)
+    model, lam = solution.model, solution.lam
+    dminus, dplus = one_sided_differences(solution.u, grid)
     coords = grid.coords
-    fvals = potential.on_grid(grid)
+    fvals = solution.potential.on_grid(grid)
 
     ids = grid.interior_ids
+    xi_u = solution.xi_u[ids]
     base = np.zeros(grid.num_nodes)
-    base[ids] = lagrangian_value(model, coords[ids], solution.xi_u[ids]) - _upwind_pairing(
-        solution.xi_u[ids], dminus[ids], dplus[ids]
+    base[ids] = lagrangian_value(model, coords[ids], xi_u) - _upwind_pairing(
+        xi_u, dminus[ids], dplus[ids]
     )
 
     coo = measure.weights.tocoo()

@@ -183,23 +183,21 @@ def _report_solution(sol: ErgodicSolution) -> dict:
 
 
 def _solve(run: _Run) -> None:
-    config, grid, model, potential = run.config, run.grid, run.model, run.potential
-    opts = config.solver_options()
-    sol = run.sol = solve_ergodic_hjb(grid, model, potential, opts)
+    grid, opts = run.grid, run.config.solver_options()
+    sol = run.sol = solve_ergodic_hjb(grid, run.model, run.potential, opts)
     run.results["solve"] = _report_solution(sol)
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     du = gradient_inward_fallback(sol.u, grid)
-    residual = pointwise_residual(sol, model, potential)
-    fields = {"u": sol.u, "du": du, "xi": sol.xi_u, "residual": residual}
+    fields = {"u": sol.u, "du": du, "xi": sol.xi_u, "residual": pointwise_residual(sol)}
     write_field_csv(run.out / "fields.csv", grid, fields)
 
 
 def _density(run: _Run) -> None:
-    sol = run.sol
+    sol, xi_u = run.sol, run.sol.xi_u
     factorizations = sol.solver.factorizations
     # the transposed solve refines with the factor of the last evaluation
-    density = stationary_density(run.grid, sol.xi_u, sol.solver)
-    mu_cost = average_cost(density, sol.xi_u, run.model, run.potential)
+    density = stationary_density(run.grid, xi_u, sol.solver)
+    mu_cost = average_cost(density, xi_u, run.model, run.potential)
     run.results["fokker_planck"] = {
         "mu_cost": mu_cost,
         "stats": {"factorizations": sol.solver.factorizations - factorizations},
@@ -235,16 +233,16 @@ def _lp(run: _Run) -> None:
 
 
 def _sweep(run: _Run) -> None:
-    config, sol, model, potential = run.config, run.sol, run.model, run.potential
+    config, sol = run.config, run.sol
     sweep_n = config["checks"]["sweep_size"]
     worst_lhs = np.inf
     worst_mismatch = 0.0
     for s in range(sweep_n):
         mu_rand = random_feasible_measure(run.grid, run.atoms, config.seed + s)
-        lhs, rhs = excess_cost_identity(mu_rand, sol, model, potential)
+        lhs, rhs = excess_cost_identity(mu_rand, sol)
         worst_lhs = min(worst_lhs, lhs)
         worst_mismatch = max(worst_mismatch, abs(lhs - rhs) / (1 + abs(lhs)))
-    lhs_star, rhs_star = excess_cost_identity(run.measure, sol, model, potential)
+    lhs_star, rhs_star = excess_cost_identity(run.measure, sol)
     run.results["measure_sweep"] = {
         "n": sweep_n,
         "min_excess": worst_lhs,
@@ -326,7 +324,7 @@ def _audit(run: _Run) -> None:
 def _bounds(run: _Run) -> None:
     """The paper's a-priori estimates of u, a local gradient bound and lower
     bounds over f-scaled balls, each fitted at h and refit at h/2."""
-    args = (run.sol, run.refined, run.model, run.potential)
+    args = (run.sol, run.refined)
     for rep in (check_gradient_bound(*args, BOUND_RADII), check_value_lower_bounds(*args)):
         run.results["estimates"][rep.name] = vars(rep)
         run.check(rep.name, rep.passed, rep.sweep, "stable within 25% at h/2")

@@ -44,6 +44,8 @@ class SimParams:
             raise ValueError(f"n_paths must be an integer >= 1, got {n!r}")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
+        if round(self.burn_in / self.timestep) >= self.n_steps:
+            raise ValueError("burn_in must leave at least one step to average")
 
     @property
     def n_steps(self) -> int:
@@ -185,7 +187,12 @@ def simulate_average(
 @dataclass
 class ComparisonReport:
     reports: dict = field(default_factory=dict)  # name -> ErgodicAverageReport
-    order: list = field(default_factory=list)  # names ranked by mean, NaN last
+
+    @property
+    def order(self) -> list:
+        """The report names ranked by mean, NaN last."""
+        means = {name: rep.mean for name, rep in self.reports.items()}
+        return sorted(means, key=lambda name: (np.isnan(means[name]), means[name]))
 
     def pathwise_dominates(self, reference: str) -> bool:
         """True when the reference's half-window average beats every competitor
@@ -214,12 +221,6 @@ def compare_controls(
     """Simulate several controls under common random numbers and rank them."""
     if not controls or len({name for name, _ in controls}) < len(controls):
         raise ValueError("need at least one control, and distinct names")
-    reports = {
-        name: simulate_average(grid, ctrl, model, potential, params)
-        for name, ctrl in controls
-    }
-    order = sorted(
-        reports,
-        key=lambda nm: (np.isnan(reports[nm].mean), reports[nm].mean),
+    return ComparisonReport(
+        {name: simulate_average(grid, ctrl, model, potential, params) for name, ctrl in controls}
     )
-    return ComparisonReport(reports=reports, order=order)

@@ -143,7 +143,7 @@ def test_criterion_4_excess_cost_sweep(lp_setup):
     worst_rel = 0.0
     for seed in range(100):
         mu = random_feasible_measure(grid, atoms, 10_000 + seed)
-        lhs, rhs = excess_cost_identity(mu, sol, model, pot)
+        lhs, rhs = excess_cost_identity(mu, sol)
         worst_lhs = min(worst_lhs, lhs)
         worst_rel = max(worst_rel, abs(lhs - rhs) / (1 + abs(lhs)))
     ok = worst_lhs >= -1e-8 and worst_rel <= 1e-6
@@ -288,8 +288,8 @@ def test_criterion_9_estimate_audits():
     pot = quadratic_power_potential(1.5)
     sol = solve_ergodic_hjb(g, pure_power(1.5), pot)
     refined = solve_ergodic_hjb(build_grid(1, 6.0, 0.01), pure_power(1.5), pot, coarse=sol)
-    grad = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0])
-    lower = check_value_lower_bounds(sol, refined, pure_power(1.5), pot)
+    grad = check_gradient_bound(sol, refined, [0.25, 0.5, 1.0])
+    lower = check_value_lower_bounds(sol, refined)
     ok = (
         a1_power.passed
         and a1_exp.passed

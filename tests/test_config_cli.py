@@ -83,6 +83,17 @@ def test_readme_default_block_is_the_defaults():
     assert json.loads(block[: block.index("```")]) == DEFAULTS
 
 
+def test_readme_library_block_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    block = section[section.index("```python") + len("```python"):]
+    names = {}
+    exec(block[: block.index("```")], names)
+    solution = names["solution"]
+    assert names["residual"] == solution.residual_sup
+    assert abs(names["cost"] - solution.lam) <= 1e-8
+
+
 def test_readme_scenario_table_is_the_scenarios():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme[readme.index("| scenario | stages |"):].split("\n\n")[0]
@@ -489,12 +500,40 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         # deleted, so refused whatever the value
         ("lp", "lp.xi_bound=Infinity", "'lp.xi_bound'"),
         ("lp", "lp.xi_bound=-Infinity", "'lp.xi_bound'"),
+        # float() reads true as 1.0 and a string character by character
+        ("solve", "solver.eval_tolerance=true", "'solver.eval_tolerance'"),
+        ("simulate", "sde.horizon=true", "'sde.horizon'"),
+        ("simulate", "sde.timestep=true", "'sde.timestep'"),
+        ("simulate", 'sde.x0="0"', "'sde.x0'"),
+        ("simulate", "sde.x0=[true]", "'sde.x0'"),
+        pytest.param(
+            "solve", ("potential.family=constant", "potential.value=true"), "'potential': value",
+            id="potential.value=true",
+        ),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
-    assert main([command, "--out-dir", str(tmp_path), "--set", override]) == 2
+    overrides = (override,) if isinstance(override, str) else override
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([command, "--out-dir", str(tmp_path), *sets]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def _number_leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _number_leaves(value, f"{prefix}{key}.")
+        elif type(value) in (int, float):
+            yield f"{prefix}{key}"
+
+
+@pytest.mark.parametrize("leaf", list(_number_leaves(DEFAULTS)))
+def test_true_refused_wherever_a_number_is_expected(leaf):
+    # JSON true is a Python int, so a check by isinstance or float() lets it through
+    with pytest.raises(ConfigError) as refused:
+        parse_config("{}", [(leaf, "true")])
+    assert f"'{leaf}'" in str(refused.value) or f"'{leaf.split('.')[0]}'" in str(refused.value)
 
 
 def test_every_stage_in_the_table():

@@ -311,19 +311,13 @@ def test_pde_residual_injected_exact(manufactured_1d):
 
     x = g.coords[:, 0]
     exact = ErgodicSolution(
-        u=x**2 / 2 + 1.0,
-        lam=2.0,
-        xi_u=sol.xi_u,
-        residual_sup=0.0,
-        iterations=0,
-        grid=g,
-        converged=True,
+        u=x**2 / 2 + 1.0, lam=2.0, grid=g, model=model, potential=pot, converged=True
     )
-    res = pde_residual(exact, model, pot)
+    res = pde_residual(exact)
     # one-sided wall gradients contribute the O(h) defect; centered stencils
     # are exact on the quadratic elsewhere
     assert 0.0 < res <= 3 * g.spacing
-    field = pointwise_residual(exact, model, pot)
+    field = pointwise_residual(exact)
     inner = np.abs(x) <= g.radius - 2 * g.spacing
     assert np.abs(field[inner]).max() <= 1e-10
 
@@ -341,10 +335,9 @@ def test_pde_residual_perturbation(manufactured_1d):
     u2 = sol.u.copy()
     u2[g.origin_id] += eps
     bumped = ErgodicSolution(
-        u=u2, lam=sol.lam, xi_u=sol.xi_u, residual_sup=0.0,
-        iterations=sol.iterations, grid=g, converged=True,
+        u=u2, lam=sol.lam, grid=g, model=model, potential=pot, converged=True
     )
-    jump = pde_residual(bumped, model, pot) - sol.residual_sup
+    jump = pde_residual(bumped) - sol.residual_sup
     scale = eps / g.spacing**2
     assert 0.5 * scale <= jump <= 4.0 * scale
 

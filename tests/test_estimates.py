@@ -17,7 +17,6 @@ from ergolab.estimates import (
 from ergolab.grid import build_grid
 from ergolab.hamiltonian import (
     HamiltonianModel,
-    PotentialSpec,
     constant_potential,
     drift_power,
     exp_abs_potential,
@@ -106,7 +105,7 @@ def test_envelope_implies_gradient_growth(audit_grid):
 
 def test_gradient_bound_manufactured(manufactured):
     g, pot, sol, refined = manufactured
-    rep = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0])
+    rep = check_gradient_bound(sol, refined, [0.25, 0.5, 1.0])
     assert rep.passed
     assert rep.fitted_constant > 0
     a, b = rep.sweep
@@ -115,24 +114,23 @@ def test_gradient_bound_manufactured(manufactured):
 
 def test_gradient_bound_without_gradient_term(manufactured):
     g, pot, sol, refined = manufactured
-    rep = check_gradient_bound(sol, refined, pure_power(1.5), pot, [0.25, 0.5, 1.0],
-                               include_gradient_term=False)
+    rep = check_gradient_bound(sol, refined, [0.25, 0.5, 1.0], include_gradient_term=False)
     assert rep.passed
 
 
 def test_gradient_bound_constant_field(manufactured):
     g, pot, sol, refined = manufactured
     flat = ErgodicSolution(
-        u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
-        residual_sup=0.0, iterations=0, grid=g, converged=True,
+        u=np.ones(g.num_nodes), lam=1.0, grid=g, model=pure_power(1.5), potential=pot,
+        converged=True,
     )
-    rep = check_gradient_bound(flat, flat, pure_power(1.5), pot, [0.5])
+    rep = check_gradient_bound(flat, flat, [0.5])
     assert rep.fitted_constant == 0.0
 
 
 def test_value_lower_bounds_manufactured(manufactured):
     g, pot, sol, refined = manufactured
-    rep = check_value_lower_bounds(sol, refined, pure_power(1.5), pot)
+    rep = check_value_lower_bounds(sol, refined)
     assert rep.passed
     assert rep.details["kappa"] > 0
     assert rep.details["coverage"] > 0.5
@@ -141,10 +139,10 @@ def test_value_lower_bounds_manufactured(manufactured):
 def test_value_lower_bounds_trivial_instance():
     g = build_grid(1, 4.0, 0.1)
     flat = ErgodicSolution(
-        u=np.ones(g.num_nodes), lam=1.0, xi_u=np.zeros((g.num_nodes, 1)),
-        residual_sup=0.0, iterations=0, grid=g, converged=True,
+        u=np.ones(g.num_nodes), lam=1.0, grid=g, model=pure_power(1.5),
+        potential=constant_potential(1.0), converged=True,
     )
-    rep = check_value_lower_bounds(flat, flat, pure_power(1.5), constant_potential(1.0))
+    rep = check_value_lower_bounds(flat, flat)
     assert rep.fitted_constant == 0.0
     assert rep.details["kappa"] == pytest.approx(1.0)
 
@@ -174,13 +172,13 @@ def test_ball_window_matches_full_scan(dim, half_width, spacing, reduce):
         assert np.array_equal(window, _ball_reduce_full_scan(values, g, centers, radius, reduce))
 
 
-def check_superquadratic_scaling(
-    solution: ErgodicSolution, model: HamiltonianModel, potential: PotentialSpec
-) -> EstimateReport:
+def check_superquadratic_scaling(solution: ErgodicSolution) -> EstimateReport:
     """Superquadratic (gamma >= 2, outside the paper's subquadratic class)
     variant of the audits, with rebalanced exponents:
     |Df| <= k0 (1 + |f|^((4g-3)/(3g-2))) and the ball lower bound
-    inf u >= kappa f^(g/(3g-2)) at scale f^((1-g)/(3g-2))."""
+    inf u >= kappa f^(g/(3g-2)) at scale f^((1-g)/(3g-2)), with the
+    solution's own model and potential."""
+    model, potential = solution.model, solution.potential
     gamma = model.gamma
     if gamma < 2.0:
         raise ValueError("superquadratic audit requires gamma >= 2")
@@ -192,10 +190,10 @@ def check_superquadratic_scaling(
 
     kexp = gamma / (3.0 * gamma - 2.0)
     sexp = (1.0 - gamma) / (3.0 * gamma - 2.0)
-    _, kappa, _, coverage = _lower_bound_constants(solution, potential, kexp, sexp)
+    _, kappa, _, coverage = _lower_bound_constants(solution, kexp, sexp)
     fine = build_grid(grid.dim, grid.radius, grid.spacing / 2.0)
     refined = solve_ergodic_hjb(fine, model, potential, coarse=solution)
-    _, kappa_half, _, _ = _lower_bound_constants(refined, potential, kexp, sexp)
+    _, kappa_half, _, _ = _lower_bound_constants(refined, kexp, sexp)
     passed = _sweep_passed(sweep) and _stable(kappa, kappa_half) and kappa > 0
     return EstimateReport(
         name="superquadratic_scaling",
@@ -211,21 +209,21 @@ def test_superquadratic_audit():
     g = build_grid(1, 6.0, 0.02)
     pot = quadratic_power_potential(2.0)
     sol = solve_ergodic_hjb(g, pure_power(2.0), pot)
-    rep = check_superquadratic_scaling(sol, pure_power(2.0), pot)
+    rep = check_superquadratic_scaling(sol)
     assert rep.passed
     assert rep.details["kappa"] > 0
 
     g3 = build_grid(1, 5.0, 0.02)
     pot3 = quadratic_power_potential(3.0)
     sol3 = solve_ergodic_hjb(g3, pure_power(3.0), pot3)
-    rep3 = check_superquadratic_scaling(sol3, pure_power(3.0), pot3)
+    rep3 = check_superquadratic_scaling(sol3)
     assert rep3.passed
 
 
 def test_superquadratic_rejects_subquadratic(manufactured):
     g, pot, sol, refined = manufactured
     with pytest.raises(ValueError):
-        check_superquadratic_scaling(sol, pure_power(1.5), pot)
+        check_superquadratic_scaling(sol)
 
 
 def check_drift_boundary_perturbation(

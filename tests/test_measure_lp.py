@@ -298,7 +298,7 @@ def test_excess_identity_on_optimal_pair(lp_instance):
     g, model, pot, sol, _, _, _, _ = lp_instance
     rho = stationary_density(g, sol.xi_u)
     mu_u = exact_pair_measure(rho, sol.xi_u)
-    lhs, rhs = excess_cost_identity(mu_u, sol, model, pot)
+    lhs, rhs = excess_cost_identity(mu_u, sol)
     assert abs(lhs) <= 1e-6
     assert abs(rhs) <= 1e-9  # the gap integrand vanishes at the optimal control
     assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
@@ -311,7 +311,7 @@ def test_excess_identity_doubled_control(lp_instance):
     doubled = 2.0 * sol.xi_u
     rho2 = stationary_density(g, doubled)
     mu2 = exact_pair_measure(rho2, doubled)
-    lhs, rhs = excess_cost_identity(mu2, sol, model, pot)
+    lhs, rhs = excess_cost_identity(mu2, sol)
     oracle = average_cost(rho2, doubled, model, pot) - sol.lam
     assert lhs == pytest.approx(oracle, abs=1e-9)
     assert lhs > 0.05
@@ -322,7 +322,7 @@ def test_excess_identity_random_sweep(lp_instance):
     g, model, pot, sol, atoms, _, _, _ = lp_instance
     for seed in range(10):
         mu = random_feasible_measure(g, atoms, 3000 + seed)
-        lhs, rhs = excess_cost_identity(mu, sol, model, pot)
+        lhs, rhs = excess_cost_identity(mu, sol)
         assert lhs >= -1e-8
         assert rhs >= -1e-8
         assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))

@@ -37,6 +37,13 @@ def test_params_validation():
         SimParams(horizon=1.0, timestep=1e-3, n_paths=1, seed=0, burn_in=1.0)
 
 
+def test_burn_in_that_leaves_no_step_refused():
+    # round(0.999 / 0.01) = 100 = n_steps: the path averages would read 0 / 0
+    with pytest.raises(ValueError, match="at least one step"):
+        SimParams(horizon=1.0, timestep=0.01, n_paths=2, seed=1, burn_in=0.999)
+    assert SimParams(horizon=1.0, timestep=0.01, n_paths=2, seed=1, burn_in=0.99).n_steps == 100
+
+
 def test_x0_dimension_checked(instance):
     g, model, pot, sol = instance
     p = SimParams(horizon=1.0, timestep=1e-3, n_paths=2, seed=0, x0=(0.0, 0.0))
@@ -158,6 +165,14 @@ def test_pathwise_dominance_on_synthetic_reports():
     assert ComparisonReport(reports={"low": low, "lost": lost}).pathwise_dominates("low")
     # a reference whose paths all diverged compares nothing, so it ranks nowhere
     assert not ComparisonReport(reports={"lost": lost, "high": high}).pathwise_dominates("lost")
+
+
+def test_comparison_order_ranks_by_mean_nan_last():
+    low, high = _synthetic_report([1.0, 1.0, 1.1]), _synthetic_report([2.0, 2.1, 2.2])
+    lost = _synthetic_report([0.0, 0.0, 0.0], diverged=(True, True, True))  # mean NaN
+    assert ComparisonReport(reports={"lost": lost, "high": high, "low": low}).order == [
+        "low", "high", "lost"
+    ]
 
 
 def test_ou_quadratic_statistical(instance):
