@@ -21,7 +21,10 @@ Smaller grids, and grids with a pinned wall, start from the zero control.
 One ``operators.BorderedSolver`` is carried through the iteration on each
 grid: near convergence the control moves little, so the factor of an
 earlier evaluation serves the next by iterative refinement and only the
-first evaluations factor.  The solution keeps that solver, and with it the
+first evaluations factor.  A held factor refines from the previous
+evaluation's (u, lambda), which already lies within one control step of the
+answer, so it needs fewer triangular solves than a start from zero; a fresh
+factor starts from zero.  The solution keeps that solver, and with it the
 last factor, for the stationary density's transposed solve.  It also keeps
 the model and potential it solves, so the routines that evaluate a solution
 take no model or potential of their own.
@@ -106,7 +109,8 @@ class ErgodicSolution:
     model: HamiltonianModel
     potential: PotentialSpec
     converged: bool
-    # per iteration: lambda, sup control step and evaluation residual
+    # per iteration: lambda, sup control step, evaluation residual and the
+    # evaluation's refinement solves
     iteration_stats: list = field(default_factory=list)
     # holds the last evaluation's factor for the density's transposed solve
     solver: BorderedSolver | None = field(default=None, repr=False, compare=False)
@@ -135,6 +139,7 @@ def policy_evaluation(
     cost: np.ndarray,
     opts: SolverOptions = SolverOptions(),
     solver: BorderedSolver | None = None,
+    start: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve the linear ergodic system for a frozen control.
 
@@ -144,7 +149,9 @@ def policy_evaluation(
     the eigenvalue.  ``solver`` (a fresh one by default) solves the bordered
     system, refining with the factor it holds and factoring afresh when that
     factor cannot reach the evaluation tolerance; it returns a solve within
-    that tolerance or raises.
+    that tolerance or raises.  ``start``, an earlier evaluation's (u, lambda)
+    on this grid, is the held factor's first iterate instead of zero; a fresh
+    factor starts from zero.
 
     Raises:
         SingularEvaluationError: the solver refused the bordered system: it is
@@ -158,8 +165,9 @@ def policy_evaluation(
     nint = grid.num_interior
     b = np.concatenate([cost[grid.interior_ids] + rhs_bnd, [0.0]])
     solver = BorderedSolver() if solver is None else solver
+    x0 = None if start is None else np.append(start[0][grid.interior_ids], start[1])
     try:
-        sol = solver.solve(grid, A, b, opts.eval_tolerance)
+        sol = solver.solve(grid, A, b, opts.eval_tolerance, start=x0)
     except RuntimeError as exc:
         raise SingularEvaluationError(f"evaluation solve failed: {exc}") from exc
     u = np.zeros(grid.num_nodes)
@@ -310,17 +318,24 @@ def solve_ergodic_hjb(
     iteration_stats: list[dict] = []
     solver = BorderedSolver()
     u = np.zeros(grid.num_nodes)
+    previous = None  # the last evaluation's (u, lambda): the next one starts there
     converged = False
     drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for _ in range(opts.max_policy_iters):
         cost = fvals + lagrangian_value(model, coords, control)
         if not np.isfinite(cost).all():  # the potential or the Lagrangian overflowed
             raise SingularEvaluationError("the running cost is not finite on this grid")
-        u, lam = policy_evaluation(grid, control, cost, opts, solver)
+        solves = solver.refinement_solves
+        u, lam = previous = policy_evaluation(grid, control, cost, opts, solver, previous)
         new_control = policy_improvement(grid, u, model)
         step = float(np.abs(new_control - control).max())
         iteration_stats.append(
-            {"lambda": lam, "control_step": step, "residual": float(solver.residual)}
+            {
+                "lambda": lam,
+                "control_step": step,
+                "residual": float(solver.residual),
+                "refinement_solves": solver.refinement_solves - solves,
+            }
         )
         control = new_control
         if opts.boundary_mode == STATE_CONSTRAINT and _wall_outward_max(

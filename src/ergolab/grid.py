@@ -82,6 +82,36 @@ class Grid:
         return out
 
     @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Interior-local ids in geometric nested-dissection order.
+
+        In 2d the interior index box is bisected at its middle line, the axes
+        alternating, and each separator line comes after both halves, its
+        nodes in lexicographic order; halves are split again until every
+        node lies on a separator.  Each node's place is one base-3 key (0
+        first half, 1 second half, 2 separator) of its per-axis bisection
+        digits, interleaved and cut after its first separator digit, so one
+        stable sort builds the order.  In 1d it is the identity: a path has
+        no fill in its own order.
+        """
+        m = self.nodes_per_axis - 2
+        if self.dim == 1:
+            order = np.arange(m)
+        else:
+            digits = _bisection_digits(m)
+            key = np.zeros((m, m), dtype=np.int64)
+            cut = np.zeros((m, m), dtype=bool)
+            for depth in range(digits.shape[1]):
+                for digit in (digits[:, depth, None], digits[None, :, depth]):
+                    digit = np.where(cut, 0, digit)
+                    key *= 3
+                    key += digit
+                    cut |= digit == 2
+            order = np.argsort(key.ravel(), kind="stable")
+        order.setflags(write=False)
+        return order
+
+    @cached_property
     def origin_id(self) -> int:
         n = self.nodes_per_axis
         return sum(self.half_width * n**k for k in range(self.dim))
@@ -112,6 +142,23 @@ class Grid:
         return out
 
 
+def _bisection_digits(m: int) -> np.ndarray:
+    """(m, depth) digits of each index of ``range(m)`` under repeated
+    bisection: at each depth 0 in the lower half, 1 in the upper half, 2 on
+    the middle index, and 0 after that."""
+    idx = np.arange(m)
+    lo, hi = np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64)
+    cut = np.zeros(m, dtype=bool)
+    digits = []
+    while not cut.all():
+        mid = (lo + hi) // 2
+        digits.append(np.where(cut, 0, np.where(idx < mid, 0, np.where(idx == mid, 2, 1))))
+        cut |= idx == mid
+        hi = np.where(idx < mid, mid, hi)
+        lo = np.where(idx > mid, mid + 1, lo)
+    return np.stack(digits, axis=1)
+
+
 def axis_half_width(radius: float, spacing: float) -> int:
     """floor(R/h): the nodes on each side of the origin along an axis."""
     return int(np.floor(radius / spacing + 1e-12))
@@ -123,7 +170,7 @@ def build_grid(dim: int, radius: float, spacing: float) -> Grid:
     Nodes per axis is 2*floor(R/h) + 1, so the origin is always a node and
     the lattice spans [-R, R] to within one spacing.  Solver-grade grids
     should keep radius >= 4*spacing; construction only requires one interior
-    node.
+    node and a finite 1/h^2, the operator's diffusion coefficient.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -131,6 +178,10 @@ def build_grid(dim: int, radius: float, spacing: float) -> Grid:
         raise ValueError(
             f"need radius >= spacing > 0, got radius={radius}, spacing={spacing}"
         )
+    with np.errstate(all="ignore"):
+        inv_h2 = 1.0 / np.float64(spacing) ** 2
+    if not np.isfinite(inv_h2):
+        raise ValueError(f"1/spacing**2 is not finite for spacing={spacing}")
     half = axis_half_width(radius, spacing)
     n = 2 * half + 1
     if n**dim > MAX_NODES:

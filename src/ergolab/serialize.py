@@ -18,24 +18,32 @@ _CHUNK_ROWS = 256  # rows formatted at once: bounds what the writer adds to peak
 MEASURE_FLOOR = 1e-14  # measure.csv leaves out pairs of weight at most this
 
 
-def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+def write_csv(
+    path: Path, header: list[str], rows: np.ndarray, labels: list[str] | None = None
+) -> None:
     """Header, then one line per row of the 2-D float array ``rows``, formatted
     a chunk of rows at a time with one ``%.17g`` row format, which renders
     each value as ``format(v, ".17g")`` does: an integral value has no
-    decimal point, so integer columns such as path ids read as integers."""
+    decimal point, so integer columns such as path ids read as integers.
+    ``labels``, when given, holds one preformatted string per row that is
+    written before its values, comma included."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    labels = [""] * rows.shape[0] if labels is None else labels
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             chunk = rows[start : start + _CHUNK_ROWS].tolist()
-            fh.write("".join(line % tuple(row) for row in chunk))
+            heads = labels[start : start + _CHUNK_ROWS]
+            fh.write("".join(head + line % tuple(row) for head, row in zip(heads, chunk)))
 
 
 def write_field_csv(path: Path, grid: Grid, columns: dict[str, np.ndarray]) -> None:
     """One row per node: coordinates, then each named column (vector fields
-    expand to one column per component)."""
+    expand to one column per component).  Each axis coordinate is formatted
+    once and the node's coordinates are written as one row label; the bytes
+    are those of ``write_csv`` over the coordinate and value columns."""
     header = [f"x{a}" for a in range(grid.dim)]
     arrays = []
     for name, arr in columns.items():
@@ -46,8 +54,9 @@ def write_field_csv(path: Path, grid: Grid, columns: dict[str, np.ndarray]) -> N
         else:
             header.extend(f"{name}{a}" for a in range(arr.shape[1]))
             arrays.append(arr)
-    data = np.hstack([grid.coords] + arrays)
-    write_csv(path, header, data)
+    axis = ["%.17g," % v for v in grid.axis_coords.tolist()]
+    labels = axis if grid.dim == 1 else [a + b for a in axis for b in axis]
+    write_csv(path, header, np.hstack(arrays), labels)
 
 
 def write_measure_csv(path: Path, measure) -> None:

@@ -497,6 +497,10 @@ def test_tied_keys_independent_of_override_order(tmp_path):
         ("solve", "model.gamma=NaN", "'model.gamma' must be finite"),
         ("solve", "model.drift_vector=[NaN]", "'model.drift_vector' must be finite"),
         ("solve", "grid.spacing=1e999", "'grid.spacing' must be finite"),  # overflows to inf
+        pytest.param(  # 1/h^2 overflows, and the operator assembly once divided by zero
+            "solve", ("grid.radius=4e-300", "grid.spacing=1e-300"), "'grid': 1/spacing**2",
+            id="grid.spacing=1e-300",
+        ),
         # deleted, so refused whatever the value
         ("lp", "lp.xi_bound=Infinity", "'lp.xi_bound'"),
         ("lp", "lp.xi_bound=-Infinity", "'lp.xi_bound'"),
@@ -646,7 +650,7 @@ def test_full_verify_pipeline(tmp_path, capsys):
     }
     assert len(solve["stats"]["iterations"]) == solve["iterations"]
     for entry in solve["stats"]["iterations"]:
-        assert set(entry) == {"lambda", "control_step", "residual"}
+        assert set(entry) == {"lambda", "control_step", "residual", "refinement_solves"}
     assert 1 <= solve["stats"]["factorizations"] <= solve["iterations"]
     # 81 nodes: too few for a coarse level below them
     assert solve["stats"]["levels"] == []

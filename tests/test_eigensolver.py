@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import ergolab.density
 import ergolab.eigensolver as eigensolver
@@ -181,7 +183,7 @@ def test_1d_default_solve_has_no_coarse_level():
     # 161 nodes, 81 at 2h: the zero-control start, and its lambda bit for bit
     g = build_grid(1, 4.0, 0.05)
     sol = solve_ergodic_hjb(g, pure_power(1.5), quadratic_power_potential(1.5))
-    assert sol.lam == 1.9908541025015336
+    assert sol.lam == 1.9908541025015454
     assert sol.levels == []
 
 
@@ -403,3 +405,54 @@ def test_solver_options_validation():
         SolverOptions(boundary_mode="reflecting")
     with pytest.raises(ValueError, match="max_policy_iters"):
         SolverOptions(max_policy_iters=0)
+
+
+def _colamd_factor(grid, A):
+    """The bordered system's factor with SuperLU's COLAMD column ordering."""
+    nint = grid.num_interior
+    origin = grid.interior_index[grid.origin_id]
+    row = sparse.coo_matrix(([1.0], ([0], [origin])), shape=(1, nint))
+    system = sparse.bmat([[A, np.ones((nint, 1))], [row, None]], format="csc")
+    return splu(system, permc_spec="COLAMD")
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_dissection_order_solve_matches_colamd(trans):
+    g = build_grid(2, 3.0, 0.1)
+    y = g.coords  # a nonzero control with no symmetry
+    A, _ = operators.assemble_generator(g, -0.8 * y + 0.6 * np.sin(2.0 * y[:, ::-1]) * [1, -1])
+    b = np.random.default_rng(3).normal(size=g.num_interior + 1)
+    reference = _colamd_factor(g, A)
+    solver = BorderedSolver()
+    x = solver.solve(g, A, b, 1e-10, trans=trans)
+    assert solver._order[-1] == g.num_interior  # the border unknown last
+    assert np.array_equal(np.sort(solver._order), np.arange(g.num_interior + 1))
+    expected = reference.solve(b, trans=trans)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert 0 < solver.stats()["lu_fill"] < reference.nnz
+
+
+def test_warm_start_saves_refinement_solves():
+    # two nearby controls, as in late policy iteration: the second evaluation
+    # is served by the first's factor, from zero or from the first's (u, lambda)
+    g = build_grid(2, 3.0, 0.1)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    fvals = pot.on_grid(g)
+    near = solve_ergodic_hjb(g, model, pot).xi_u
+    controls = [0.9 * near, near]
+    costs = [fvals + lagrangian_value(model, g.coords, c) for c in controls]
+    solves, lams = [], []
+    for warm in (False, True):
+        solver = BorderedSolver()
+        first = policy_evaluation(g, controls[0], costs[0], solver=solver)
+        before = solver.refinement_solves
+        _, lam = policy_evaluation(
+            g, controls[1], costs[1], solver=solver, start=first if warm else None
+        )
+        assert solver.reused and solver.factorizations == 1
+        solves.append(solver.refinement_solves - before)
+        lams.append(lam)
+    _, fresh = policy_evaluation(g, controls[1], costs[1])
+    assert solves[1] < solves[0]
+    assert abs(lams[1] - fresh) <= 1e-12
+    assert abs(lams[0] - fresh) <= 1e-12

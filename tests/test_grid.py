@@ -215,3 +215,40 @@ def test_field_csv_deterministic(tmp_path):
     header = a.decode().splitlines()[0]
     assert header == "x0,x1,u,v0,v1"
     assert len(a.decode().splitlines()) == g.num_nodes + 1
+
+
+def test_dissection_order_1d_is_the_identity():
+    g = build_grid(1, 4.0, 0.05)
+    assert np.array_equal(g.dissection_order, np.arange(g.num_interior))
+
+
+def _dissection_by_recursion(m: int) -> list[int]:
+    """Nested-dissection order of an m x m index box by recursion on boxes:
+    split the box's axis ``axis`` at its middle index, order the lower half,
+    then the upper half (each split along the other axis), then the middle
+    line in lexicographic order."""
+
+    def box(rows: range, cols: range, axis: int) -> list[int]:
+        split = rows if axis == 0 else cols
+        if not rows or not cols:
+            return []
+        mid = (split.start + split.stop) // 2
+        lower, line, upper = range(split.start, mid), [mid], range(mid + 1, split.stop)
+        if axis == 0:
+            halves = box(lower, cols, 1) + box(upper, cols, 1)
+            return halves + [i * m + j for i in line for j in cols]
+        halves = box(rows, lower, 0) + box(rows, upper, 0)
+        return halves + [i * m + j for i in rows for j in line]
+
+    return box(range(m), range(m), 0)
+
+
+@pytest.mark.parametrize(
+    "radius, spacing", [(1.0, 1.0), (1.0, 0.5), (1.0, 0.25), (3.0, 0.1), (5.0, 0.05)]
+)
+def test_dissection_order_2d_matches_the_recursion(radius, spacing):
+    g = build_grid(2, radius, spacing)
+    m = g.nodes_per_axis - 2
+    expected = _dissection_by_recursion(m)
+    assert sorted(expected) == list(range(g.num_interior))
+    assert np.array_equal(g.dissection_order, expected)
