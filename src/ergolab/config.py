@@ -1,15 +1,16 @@
-"""Run configuration: JSON schema, defaults, validation.
+"""Run configuration: one table of leaves, the defaults derived from it, and
+validation.
 
-Every field has a documented default (see DEFAULTS); unknown keys are
-rejected with a path-qualified message so typos cannot silently fall back to
-defaults.
+Each settable key is a row of ``SCHEMA`` that gives its default, type, lower
+bound and reader; unknown keys are rejected with a path-qualified message so
+typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any
@@ -46,34 +47,57 @@ SCENARIOS = {
     ),
 }
 
-DEFAULTS: dict[str, Any] = {
-    "scenario": "solve",
-    "seed": 12345,
-    "grid": {"dim": 1, "radius": 4.0, "spacing": 0.05},
-    "model": {
-        "gamma": 1.5,
-        "drift_name": "none",  # none | sine | constant
-        "drift_amplitude": 0.0,
-        "drift_vector": None,
-    },
-    "potential": {
-        "family": "quadratic_power",  # or power_beta | constant | quartic_sine | exp_abs
-        "beta": None,  # power_beta's exponent, 1.5 when null
-        "value": None,  # constant's value, 1.0 when null
-    },
-    "solver": {"max_policy_iters": 200, "eval_tolerance": 1e-10},
-    "lp": {"xi_count": 41},
-    "sde": {
-        "horizon": 200.0,
-        "timestep": 1e-3,
-        "n_paths": 8,
-        "x0": None,  # default: origin
-    },
-    "exhaust": {"radii": [3.0, 4.0, 5.0, 6.0]},
-    "compare": {"multipliers": [1.0, 0.5, 2.0]},
-    "checks": {"sim_sigmas": 3.0, "sweep_size": 20},
-    "output": {"directory": "out"},
+
+@dataclass(frozen=True)
+class Leaf:
+    """One settable key. ``kind`` is ``int`` (not a bool), ``float`` (a finite
+    number), ``str``, ``list`` (of finite numbers) or a tuple of the accepted
+    values, and a leaf whose default is null also takes null. A number must be
+    at least an ``int`` leaf's ``low`` and exceed a ``float`` leaf's. Under any
+    choice but ``read_by`` = (leaf, value) the leaf must keep its default."""
+
+    default: Any
+    kind: Any
+    low: float | None = None
+    read_by: tuple[str, str] | None = None
+    note: str = ""  # appended when the leaf is refused
+
+
+# dotted leaf -> its row; DEFAULTS is derived from this table, in its order
+SCHEMA = {
+    "scenario": Leaf("solve", tuple(SCENARIOS)),
+    "seed": Leaf(12345, int, 0),
+    "grid.dim": Leaf(1, (1, 2), note=" (desk-scale limit)"),
+    "grid.radius": Leaf(4.0, float, 0),
+    "grid.spacing": Leaf(0.05, float, 0),
+    "model.gamma": Leaf(1.5, float, 1),
+    "model.drift_name": Leaf("none", ("none", "sine", "constant")),
+    "model.drift_amplitude": Leaf(0.0, float, read_by=("model.drift_name", "sine")),
+    "model.drift_vector": Leaf(None, list, read_by=("model.drift_name", "constant")),
+    "potential.family": Leaf(
+        "quadratic_power", ("quadratic_power", "power_beta", "constant", "quartic_sine", "exp_abs")
+    ),
+    # null takes the family's default: beta 1.5, value 1.0 (constant_potential asks >= 1)
+    "potential.beta": Leaf(None, float, 0, ("potential.family", "power_beta")),
+    "potential.value": Leaf(None, float, read_by=("potential.family", "constant")),
+    "solver.max_policy_iters": Leaf(200, int, 1),
+    "solver.eval_tolerance": Leaf(1e-10, float, 0),
+    "lp.xi_count": Leaf(41, int, 3),
+    "sde.horizon": Leaf(200.0, float, 0),
+    "sde.timestep": Leaf(1e-3, float, 0),
+    "sde.n_paths": Leaf(8, int, 1),
+    "sde.x0": Leaf(None, list),  # null: the origin
+    "exhaust.radii": Leaf([3.0, 4.0, 5.0, 6.0], list),
+    "compare.multipliers": Leaf([1.0, 0.5, 2.0], list),
+    "checks.sim_sigmas": Leaf(3.0, float, 0),
+    "checks.sweep_size": Leaf(20, int, 1),
+    "output.directory": Leaf("out", str),
 }
+
+DEFAULTS: dict[str, Any] = {}
+for _leaf, _row in SCHEMA.items():
+    _section, _, _key = _leaf.rpartition(".")
+    (DEFAULTS.setdefault(_section, {}) if _section else DEFAULTS)[_key] = _row.default
 
 
 # The most work one stage may ask for, counted in Monte Carlo path-steps
@@ -81,6 +105,14 @@ DEFAULTS: dict[str, Any] = {
 # them) and in the sweep's density solves times the grid's nodes. Criterion 6
 # runs 3 x 16 x 2e6 = 9.6e7 path-steps.
 MAX_WORK = 10**8
+
+_NUMBER = (int, float)
+_TYPES = {  # kind -> (test, what a value must be)
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in _NUMBER, "a number"),
+    str: (lambda v: type(v) is str, "a string"),
+    list: (lambda v: type(v) is list and all(type(x) in _NUMBER for x in v), "a list of numbers"),
+}
 
 
 class ConfigError(ValueError):
@@ -102,69 +134,39 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     return out
 
 
-def _require_number(cfg: dict, path: str, low=None, message=None):
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
-    if not isinstance(node, (int, float)) or isinstance(node, bool):
-        raise ConfigError(f"{path!r} must be a number")
-    if low is not None and not node > low:
-        raise ConfigError(message or f"{path!r} must exceed {low}")
+def _get(cfg: dict, leaf: str):
+    section, _, key = leaf.rpartition(".")
+    return (cfg[section] if section else cfg)[key]
 
 
-def _is_number_list(node) -> bool:
-    return isinstance(node, list) and all(type(v) in (int, float) for v in node)
-
-
-def _require_finite(node, path: str = "") -> None:
-    """Refuse NaN and +-Infinity anywhere in the config, naming the key: JSON's
-    NaN/Infinity tokens and a literal that overflows, such as 1e999."""
-    if isinstance(node, dict):
-        for key, val in node.items():
-            _require_finite(val, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for val in node:
-            _require_finite(val, path)
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{path!r} must be finite, got {node}")
+def _leaf_problem(cfg: dict, leaf: str, row: Leaf) -> str | None:
+    """What is wrong with one leaf's value, in the order finite, type, range,
+    reader; None when nothing is."""
+    value, kind = _get(cfg, leaf), row.kind
+    if value is not None or row.default is not None:
+        # NaN, +-Infinity (JSON tokens or a literal such as 1e999), an int past float range
+        items = value if type(value) is list else [value]
+        if not all(abs(v) <= sys.float_info.max for v in items if type(v) in _NUMBER):
+            return "must be finite"
+        if isinstance(kind, tuple):  # True == 1 and 1.0 == 1, so the type must match too
+            if not any(type(value) is type(c) and value == c for c in kind):
+                return f"unknown: must be one of {', '.join(map(str, kind))}{row.note}"
+        elif not _TYPES[kind][0](value):
+            return f"must be {'null or ' * (row.default is None)}{_TYPES[kind][1]}"
+        elif row.low is not None and not (value >= row.low if kind is int else value > row.low):
+            return f"must be >= {row.low}" if kind is int else f"must exceed {row.low:g}"
+    if row.read_by and value != row.default and _get(cfg, row.read_by[0]) != row.read_by[1]:
+        return f"is read only when {row.read_by[0]} is {row.read_by[1]!r}"
+    return None
 
 
 def _validate(cfg: dict) -> dict:
-    _require_finite(cfg)
-    scenario = cfg["scenario"]
-    if not (isinstance(scenario, str) and scenario in SCENARIOS):
-        raise ConfigError(f"'scenario' must be one of {tuple(SCENARIOS)}, got {scenario!r}")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-    dim = cfg["grid"]["dim"]
-    if type(dim) is not int or dim not in (1, 2):
-        raise ConfigError(f"'grid.dim' must be 1 or 2 (desk-scale limit), got {dim}")
-    _require_number(cfg, "grid.radius", low=0.0)
-    _require_number(cfg, "grid.spacing", low=0.0)
-    if cfg["grid"]["radius"] < 4 * cfg["grid"]["spacing"]:
-        raise ConfigError("'grid.radius' must be >= 4 * grid.spacing")
-    _require_number(cfg, "model.gamma", low=1.0, message="'model.gamma' must exceed 1")
-    _require_number(cfg, "model.drift_amplitude")
-    fam = cfg["potential"]["family"]
-    if fam not in ("quadratic_power", "power_beta", "constant", "quartic_sine", "exp_abs"):
-        raise ConfigError(f"'potential.family' unknown: {fam!r}")
-    # a parameter that the chosen family does not read would be ignored
-    read = {"power_beta": "beta", "constant": "value"}.get(fam)
-    for key in ("beta", "value"):
-        if cfg["potential"][key] is not None and key != read:
-            raise ConfigError(f"'potential.{key}' is not read by the {fam!r} family")
-    if fam == "power_beta" and cfg["potential"]["beta"] is not None:
-        _require_number(cfg, "potential.beta", low=0.0)
-    _require_number(cfg, "checks.sim_sigmas", low=0.0)
-    # the constructors below read these through float(), which takes true for 1.0
-    for path in ("solver.eval_tolerance", "sde.horizon", "sde.timestep"):
-        _require_number(cfg, path)
-    if cfg["sde"]["x0"] is not None and not _is_number_list(cfg["sde"]["x0"]):
-        raise ConfigError("'sde.x0' must be null or a list of numbers")
-    size = cfg["checks"]["sweep_size"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ConfigError(f"'checks.sweep_size' must be an integer >= 1, got {size!r}")
+    for leaf, row in SCHEMA.items():
+        problem = _leaf_problem(cfg, leaf, row)
+        if problem:
+            section, _, key = leaf.rpartition(".")
+            given = f"'{section}': {key}" if section else key
+            raise ConfigError(f"{given} = {json.dumps(_get(cfg, leaf))}: {leaf!r} {problem}")
     config = RunConfig(cfg)
     for section, build in (
         ("model", config.model),
@@ -172,36 +174,33 @@ def _validate(cfg: dict) -> dict:
         ("solver", config.solver_options),
         ("sde", config.sim_params),
     ):
-        try:  # the constructors hold the range checks
+        try:  # the constructors hold the checks that guard library callers
             build()
         except ConfigError:  # already names its key path
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section!r}: {exc}") from exc
-    radii = cfg["exhaust"]["radii"]
-    if not (radii and _is_number_list(radii)):
-        raise ConfigError("'exhaust.radii' must be a non-empty list of numbers")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("'exhaust.radii' must be strictly increasing")
+    # the rules that tie keys together
+    g, radii, mults = cfg["grid"], cfg["exhaust"]["radii"], cfg["compare"]["multipliers"]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("'exhaust.radii' must be a non-empty, strictly increasing list")
     count = cfg["lp"]["xi_count"]
-    if not isinstance(count, int) or count < 3 or count % 2 == 0:
-        raise ConfigError("'lp.xi_count' must be an odd integer >= 3")
-    mults = cfg["compare"]["multipliers"]
+    if count % 2 == 0:
+        raise ConfigError("'lp.xi_count' must be odd")
     # multiplier m names its report f"{m:g}*xi_u", and 1.0 is the reference
-    distinct = _is_number_list(mults) and len({f"{m:g}" for m in mults}) == len(mults)
-    if not (distinct and 1.0 in mults):
+    if not (len({f"{m:g}" for m in mults}) == len(mults) and 1.0 in mults):
         raise ConfigError(
             "'compare.multipliers' must list distinct numbers (to the 6 digits of"
             f" their report names), one of them 1.0, got {mults!r}"
         )
-    if not isinstance(cfg["output"]["directory"], str):
-        raise ConfigError("'output.directory' must be a path string")
-    stages, g = SCENARIOS[scenario], cfg["grid"]
+    stages, dim = SCENARIOS[cfg["scenario"]], g["dim"]
     boxes = []  # (key path, radius, spacing) of every grid the stages will build
     if set(stages) - {"exhaust"}:
+        if g["radius"] < 4 * g["spacing"]:
+            raise ConfigError("'grid.radius' must be >= 4 * grid.spacing")
         boxes.append(("'grid'", g["radius"], g["spacing"]))
     if "refine" in stages:
-        boxes.append(("'grid' at h/2, for the refine stage", g["radius"], float(g["spacing"]) / 2))
+        boxes.append(("'grid' at h/2, for the refine stage", g["radius"], g["spacing"] / 2))
     if "exhaust" in stages:  # its boxes take the place of grid.radius
         if radii[0] < 4 * g["spacing"]:
             raise ConfigError("'exhaust.radii' must be >= 4 * grid.spacing")
@@ -213,6 +212,15 @@ def _validate(cfg: dict) -> dict:
             build_grid(dim, radius, spacing)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+    # the audit fits f on the grid unguarded, while a solve reports a non-finite
+    # running cost as a numerical failure; f is radial, so largest at the corner
+    if "audit" in stages:
+        wall, potential = config.grid().wall, config.potential()
+        corner = np.full((1, dim), wall)
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(potential.values(corner)) & np.isfinite(potential.gradients(corner))
+        if not finite.all():
+            raise ConfigError(f"'grid': f or its gradient is not finite at the corner, +-{wall:g}")
     params = config.sim_params()
     if {"simulate", "compare"} & set(stages) and params.n_paths < 2:
         raise ConfigError("'sde.n_paths' must be >= 2 where a standard error is read")
@@ -221,6 +229,7 @@ def _validate(cfg: dict) -> dict:
         ("compare", "'sde'", params.path_steps(len(mults))),
     ]
     if "sweep" in stages:
+        size = cfg["checks"]["sweep_size"]
         work.append(("sweep", "'checks.sweep_size'", size * config.grid().num_nodes))
     for stage, key, units in work:
         if stage in stages and units > MAX_WORK:
@@ -253,19 +262,12 @@ class RunConfig:
     def model(self) -> HamiltonianModel:
         m, dim = self.raw["model"], self.raw["grid"]["dim"]
         name, amp, vec = m["drift_name"], m["drift_amplitude"], m["drift_vector"]
-        if name not in ("none", "sine", "constant"):
-            raise ConfigError(f"'model.drift_name' must be none, sine or constant, got {name!r}")
-        # a drift parameter that the chosen drift does not read would be ignored
-        if amp != 0 and name != "sine":
-            raise ConfigError(f"'model.drift_amplitude' is read by the sine drift, not {name!r}")
-        if vec is not None and name != "constant":
-            raise ConfigError(f"'model.drift_vector' is read by the constant drift, not {name!r}")
         if name == "none":
             return pure_power(m["gamma"])
         if name == "sine":
             fn = lambda x: amp * np.sin(x)
         else:
-            if not (_is_number_list(vec) and len(vec) == dim):
+            if vec is None or len(vec) != dim:
                 raise ConfigError(f"'model.drift_vector' must list grid.dim = {dim} numbers")
             vec = np.asarray(vec, dtype=float)
             fn = lambda x: np.tile(vec, (x.shape[0], 1))
@@ -331,19 +333,15 @@ def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:
 
 
 def _set_path(node: dict, dotted: str, value: str) -> None:
-    """Set an existing dotted key that is not a whole section; the value is
-    parsed as JSON when possible, else kept as a string."""
-    parts = dotted.split(".")
-    ref, default = node, DEFAULTS
-    for p in parts[:-1]:
-        if not (isinstance(default, dict) and p in default):
-            raise ConfigError(f"unknown override path {dotted!r}")
-        ref, default = ref[p], default[p]
-    if not (isinstance(default, dict) and parts[-1] in default):
+    """Set one leaf of ``SCHEMA``; the value is parsed as JSON when possible,
+    else kept as a string."""
+    if dotted not in SCHEMA:
+        if any(leaf.startswith(dotted + ".") for leaf in SCHEMA):
+            raise ConfigError(f"{dotted!r} is a section; set its keys one at a time")
         raise ConfigError(f"unknown override path {dotted!r}")
-    if isinstance(default[parts[-1]], dict):
-        raise ConfigError(f"{dotted!r} is a section; set its keys one at a time")
+    section, _, key = dotted.rpartition(".")
     try:
-        ref[parts[-1]] = json.loads(value)
+        value = json.loads(value)
     except json.JSONDecodeError:
-        ref[parts[-1]] = value
+        pass
+    (node[section] if section else node)[key] = value

@@ -170,7 +170,8 @@ def build_grid(dim: int, radius: float, spacing: float) -> Grid:
     Nodes per axis is 2*floor(R/h) + 1, so the origin is always a node and
     the lattice spans [-R, R] to within one spacing.  Solver-grade grids
     should keep radius >= 4*spacing; construction only requires one interior
-    node and a finite 1/h^2, the operator's diffusion coefficient.
+    node and a finite 8 * dim / h^2, the bound on the operator's zero-drift
+    coefficients that its assembly rounds them against.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -179,9 +180,9 @@ def build_grid(dim: int, radius: float, spacing: float) -> Grid:
             f"need radius >= spacing > 0, got radius={radius}, spacing={spacing}"
         )
     with np.errstate(all="ignore"):
-        inv_h2 = 1.0 / np.float64(spacing) ** 2
-    if not np.isfinite(inv_h2):
-        raise ValueError(f"1/spacing**2 is not finite for spacing={spacing}")
+        bound = 8.0 * dim / np.float64(spacing) ** 2
+    if not np.isfinite(bound):
+        raise ValueError(f"1/spacing**2 times 8 * dim is not finite for spacing={spacing}")
     half = axis_half_width(radius, spacing)
     n = 2 * half + 1
     if n**dim > MAX_NODES:

@@ -11,7 +11,14 @@ import ergolab.eigensolver
 import ergolab.grid
 import ergolab.runner
 from ergolab.cli import main
-from ergolab.config import SCENARIOS, ConfigError, DEFAULTS, apply_override, parse_config
+from ergolab.config import (
+    DEFAULTS,
+    SCENARIOS,
+    SCHEMA,
+    ConfigError,
+    apply_override,
+    parse_config,
+)
 from ergolab.eigensolver import (
     SingularEvaluationError,
     SolverOptions,
@@ -360,11 +367,16 @@ def test_richardson_grid_over_node_limit(tmp_path, capsys, monkeypatch):
 
 
 def test_exhaust_never_sizes_the_grid(tmp_path):
-    # exhaust builds only its own boxes, so grid.radius may be out of reach
-    sets = ["--set", "grid.radius=1e6", "--set", "exhaust.radii=[1.0,2.0]"]
-    assert main(["exhaust", "--out-dir", str(tmp_path)] + sets) == 0
-    payload = json.loads((tmp_path / "summary.json").read_text())
-    assert [r for r, _ in payload["results"]["exhaustion"]["sequence"]] == [1.0, 2.0]
+    # exhaust builds only its own boxes, so grid.radius may be out of reach,
+    # or under 4 * grid.spacing
+    for i, (sets, radii) in enumerate((
+        (["grid.radius=1e6", "exhaust.radii=[1.0,2.0]"], [1.0, 2.0]),
+        (["grid.spacing=2", "exhaust.radii=[8,16]"], [8, 16]),
+    )):
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert main(["exhaust", "--out-dir", str(tmp_path / str(i))] + args) == 0
+        payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
+        assert [r for r, _ in payload["results"]["exhaustion"]["sequence"]] == radii
 
 
 def test_exhaust_records_a_failed_radius(tmp_path, monkeypatch):
@@ -514,6 +526,20 @@ def test_tied_keys_independent_of_override_order(tmp_path):
             "solve", ("potential.family=constant", "potential.value=true"), "'potential': value",
             id="potential.value=true",
         ),
+        # boxes on which the run once overflowed: f is inf at R = 1e300 (LAPACK
+        # then raised LinAlgError) and at e^800, and the assembly's bound is
+        # inf at h = 1e-154
+        pytest.param(
+            "check", ("grid.radius=1e300", "grid.spacing=1e299"), "'grid'", id="grid.radius=1e300"
+        ),
+        pytest.param(
+            "check", ("potential.family=exp_abs", "grid.radius=800", "grid.spacing=100"), "'grid'",
+            id="exp_abs-grid.radius=800",
+        ),
+        pytest.param(
+            "solve", ("grid.radius=4e-154", "grid.spacing=1e-154"), "'grid'",
+            id="grid.spacing=1e-154",
+        ),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):
@@ -524,20 +550,33 @@ def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, overrid
     assert not (tmp_path / "summary.json").exists()
 
 
-def _number_leaves(node: dict, prefix: str = ""):
-    for key, value in node.items():
-        if isinstance(value, dict):
-            yield from _number_leaves(value, f"{prefix}{key}.")
-        elif type(value) in (int, float):
-            yield f"{prefix}{key}"
-
-
-@pytest.mark.parametrize("leaf", list(_number_leaves(DEFAULTS)))
+@pytest.mark.parametrize(
+    "leaf",
+    [leaf for leaf, row in SCHEMA.items() if row.kind in (int, float) or type(row.default) is int],
+)
 def test_true_refused_wherever_a_number_is_expected(leaf):
     # JSON true is a Python int, so a check by isinstance or float() lets it through
     with pytest.raises(ConfigError) as refused:
         parse_config("{}", [(leaf, "true")])
     assert f"'{leaf}'" in str(refused.value) or f"'{leaf.split('.')[0]}'" in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "leaf, reader, choice",
+    [
+        pytest.param(leaf, row.read_by[0], choice, id=f"{leaf}-{choice}")
+        for leaf, row in SCHEMA.items() if row.read_by
+        for choice in SCHEMA[row.read_by[0]].kind if choice != row.read_by[1]
+    ],
+)
+def test_unread_leaf_refused_under_every_other_choice(tmp_path, capsys, leaf, reader, choice):
+    # a value that its reader takes, so only the choice refuses it
+    value = {float: "2.0", list: "[0.3]"}[SCHEMA[leaf].kind]
+    parse_config("{}", [(reader, SCHEMA[leaf].read_by[1]), (leaf, value)])
+    args = ["--set", f"{reader}={choice}", "--set", f"{leaf}={value}"]
+    assert main(["solve", "--out-dir", str(tmp_path)] + SOLVE_ARGS + args) == 2
+    assert f"'{leaf}'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_every_stage_in_the_table():

@@ -3,8 +3,9 @@ configuration only with ``ConfigError``, and every configuration it accepts
 runs to a ``summary.json`` with exit code 0, 1 or 3.
 
 Configs start from a small base and overwrite up to two leaves of
-``DEFAULTS`` with values from a pool of hostile and plausible ones. The node
-limit and the work budget are patched down, so every accepted draw is small.
+``SCHEMA`` with values from a pool of hostile and plausible ones, which holds
+every leaf's lower bound and choices. The node limit and the work budget are
+patched down, so every accepted draw is small.
 """
 
 import copy
@@ -18,28 +19,21 @@ from hypothesis import strategies as st
 
 import ergolab.config
 import ergolab.grid
-from ergolab.config import DEFAULTS, SCENARIOS, ConfigError, parse_config
+from ergolab.config import SCENARIOS, SCHEMA, ConfigError, parse_config
 from ergolab.runner import run_scenario
 from oracles import read_strict_json
 
 
-def _leaves(node: dict, prefix: str = ""):
-    for key, val in node.items():
-        if isinstance(val, dict) and val:
-            yield from _leaves(val, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}"
-
-
-LEAVES = sorted(_leaves(DEFAULTS))
+LEAVES = sorted(SCHEMA)
 NAN, INF = float("nan"), float("inf")
 HOSTILE = [
     True, False, None, NAN, INF, -INF, 1e300, -1e300, 1e-300, -1e-300,
     0, -1, 2**63 + 1, 0.0, "", "abc", [], [NAN], ["a"], [True], {}, [[1.0]],
+    *dict.fromkeys(row.low for row in SCHEMA.values() if row.low is not None),
+    *(choice for row in SCHEMA.values() if isinstance(row.kind, tuple) for choice in row.kind),
 ]
 PLAUSIBLE = [
-    1, 2, 3, 5, 0.1, 0.5, 1.0, 1.5, 2.0, 4.0, 100.0,
-    "sine", "constant", "power_beta", "named", "exp_abs", "quartic_sine", *SCENARIOS,
+    1, 2, 3, 5, 0.1, 0.5, 1.0, 1.5, 2.0, 4.0, 100.0, "named",
     [0.0], [0.0, 0.0], [0.3], [0.3, -0.2], [1.0, 0.5], [1.0, 1e300], [1.0, 2.0, 3.0],
 ]
 BASES = [
@@ -74,6 +68,7 @@ SMALL = {
 @example("full_verify", BASES[0], {"grid.dim": 1.0, "sde.x0": [0.0]})  # TypeError
 @example("simulate", BASES[0], {"sde.horizon": 1e300, "sde.timestep": 1e-300})  # OverflowError
 @example("lp", BASES[0], {"lp.xi_count": 2**63 + 1})  # IndexError in the atoms
+@example("check", BASES[0], {"grid.radius": 1e300, "grid.spacing": 1e299})  # LinAlgError
 def test_every_config_is_refused_at_parse_time_or_runs_to_a_summary(scenario, base, sets):
     doc = {"scenario": scenario, **copy.deepcopy(SMALL), **copy.deepcopy(base)}
     for dotted, value in sets.items():
