@@ -212,15 +212,21 @@ def _validate(cfg: dict) -> dict:
             build_grid(dim, radius, spacing)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    # the audit fits f on the grid unguarded, while a solve reports a non-finite
-    # running cost as a numerical failure; f is radial, so largest at the corner
+    # the audit fits f, |Df| and |f|^(2 - 1/gamma) on the grid unguarded, while
+    # a solve reports a non-finite running cost as a numerical failure; f is
+    # radial, so largest at the corner
     if "audit" in stages:
         wall, potential = config.grid().wall, config.potential()
         corner = np.full((1, dim), wall)
         with np.errstate(all="ignore"):
-            finite = np.isfinite(potential.values(corner)) & np.isfinite(potential.gradients(corner))
+            f = potential.values(corner)
+            growth = np.abs(f) ** (2.0 - 1.0 / config.model().gamma)
+            finite = np.isfinite(f) & np.isfinite(growth) & np.isfinite(potential.gradients(corner))
         if not finite.all():
-            raise ConfigError(f"'grid': f or its gradient is not finite at the corner, +-{wall:g}")
+            raise ConfigError(
+                f"'grid': f, |f|^(2 - 1/gamma) or the gradient of f is not finite at the"
+                f" corner, +-{wall:g}"
+            )
     params = config.sim_params()
     if {"simulate", "compare"} & set(stages) and params.n_paths < 2:
         raise ConfigError("'sde.n_paths' must be >= 2 where a standard error is read")

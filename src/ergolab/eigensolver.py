@@ -193,22 +193,6 @@ def policy_improvement(
     return xi
 
 
-def _wall_outward_max(grid: Grid, control: np.ndarray) -> float:
-    """Largest drift component pointing at a wall from a wall-adjacent node.
-
-    Only such components get the clipped inward difference, whose row stays
-    an M-matrix row exactly while they remain below 1/h.
-    """
-    worst = 0.0
-    ids = grid.interior_ids
-    for a in range(grid.dim):
-        for s in (-1, 1):
-            at_wall = grid.interior_neighbor(a, s) < 0
-            # upwind side s is selected when sign(w) = -s
-            worst = max(worst, float((-s * control[ids[at_wall], a]).max(initial=0.0)))
-    return worst
-
-
 def _check_coercive(grid: Grid, fvals: np.ndarray, family: str) -> None:
     # sample f along each half-axis from the origin; warn if not non-decreasing
     mesh = fvals.reshape(grid.shape)
@@ -320,7 +304,6 @@ def solve_ergodic_hjb(
     u = np.zeros(grid.num_nodes)
     previous = None  # the last evaluation's (u, lambda): the next one starts there
     converged = False
-    drift_cap = 1.0 / grid.spacing  # the inward wall closure is monotone below it
     for _ in range(opts.max_policy_iters):
         cost = fvals + lagrangian_value(model, coords, control)
         if not np.isfinite(cost).all():  # the potential or the Lagrangian overflowed
@@ -338,14 +321,6 @@ def solve_ergodic_hjb(
             }
         )
         control = new_control
-        if opts.boundary_mode == STATE_CONSTRAINT and _wall_outward_max(
-            grid, control
-        ) >= drift_cap:
-            warnings.warn(
-                "outward drift at a wall node reached 1/h; the inward closure "
-                "loses monotonicity on this grid",
-                stacklevel=2,
-            )
         if (
             lam_prev is not None
             and abs(lam - lam_prev) <= LAMBDA_TOLERANCE

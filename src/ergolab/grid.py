@@ -245,22 +245,8 @@ def gradient_inward_fallback(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     At interior nodes adjacent to the boundary the centered stencil would
     reference a boundary value, so the difference toward the interior is used
-    instead.  This is the mean of the ``one_sided_differences`` pair.  Zero on
-    the boundary layer.
-    """
-    dminus, dplus = one_sided_differences(values, grid)
-    return 0.5 * (dminus + dplus)
-
-
-def one_sided_differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis backward and forward differences with inward wall substitution.
-
-    Returns (D_minus, D_plus), each of shape (N, d), zero on the boundary
-    layer.  At interior nodes adjacent to a wall the missing one-sided
-    difference is replaced by the inward one, matching the state-constraint
-    operator closure, so that for any control w the upwind pairing
-    sum_a w_a * (D_minus if w_a > 0 else D_plus) reproduces the assembled
-    advection row exactly.
+    instead: the missing one-sided difference is replaced by the inward one
+    before the two are averaged.  Zero on the boundary layer.
     """
     dminus, dplus = _differences(values, grid)
     for a in range(grid.dim):
@@ -268,10 +254,7 @@ def one_sided_differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, n
         last = _axis_slab(grid, a, slice(-2, -1)) + (a,)
         dminus[first] = dplus[first]
         dplus[last] = dminus[last]
-    return (
-        dminus.reshape(grid.num_nodes, grid.dim),
-        dplus.reshape(grid.num_nodes, grid.dim),
-    )
+    return (0.5 * (dminus + dplus)).reshape(grid.num_nodes, grid.dim)
 
 
 def fill_boundary_nearest(values: np.ndarray, grid: Grid) -> np.ndarray:

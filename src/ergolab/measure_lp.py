@@ -41,7 +41,7 @@ from scipy.optimize._highspy import _core as highs
 
 from .density import GridMeasure, pair_measure, stationary_density
 from .eigensolver import ErgodicSolution
-from .grid import Grid, one_sided_differences
+from .grid import Grid
 from .hamiltonian import (
     HamiltonianModel,
     PotentialSpec,
@@ -101,28 +101,25 @@ def assemble_lp(
         raise ValueError("control atoms have wrong dimension")
     if not np.any(np.all(np.abs(xi_atoms) < 1e-14, axis=1)):
         raise ValueError("xi atoms must contain 0 (pure-diffusion feasible point)")
-    K = xi_atoms.shape[0]
+    K, nint = xi_atoms.shape[0], grid.num_interior
     nvar = grid.num_nodes * K
-
-    rows = []
-    cols = []
-    vals = []
-    for j, atom in enumerate(xi_atoms):
-        ctrl = np.tile(atom, (grid.num_interior, 1))
-        A, _ = assemble_generator(grid, ctrl)
-        coo = A.tocoo()
-        # A[x_loc, i] multiplies mu(x, atom_j) in constraint row i
-        rows.append(coo.col)
-        cols.append(grid.interior_ids[coo.row] * K + j)
-        vals.append(coo.data)
-    rows.append(np.full(nvar, grid.num_interior))  # the mass row: 1 in every column
-    cols.append(np.arange(nvar))
-    vals.append(np.ones(nvar))
-    a_eq = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.num_interior + 1, nvar),
-    ).tocsc()
-    b_eq = np.zeros(grid.num_interior + 1)
+    # generator row i * K + j is interior node i under atom j: the invariance
+    # part of column interior_ids[i] * K + j, which the mass row's 1 closes;
+    # a boundary node's columns hold that 1 alone
+    pairs = np.repeat(np.arange(nint), K)
+    A, _ = assemble_generator(grid, np.tile(xi_atoms, (nint, 1)), nodes=pairs)
+    var = (grid.interior_ids[:, None] * K + np.arange(K)).ravel()
+    lengths = np.diff(A.indptr)
+    sizes = np.ones(nvar, dtype=np.int32)
+    sizes[var] += lengths
+    indptr = np.zeros(nvar + 1, dtype=np.int32)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.full(indptr[-1], nint, dtype=np.int32)
+    data = np.ones(indptr[-1])
+    at = np.arange(A.nnz, dtype=np.int32) + np.repeat(indptr[var] - A.indptr[:-1], lengths)
+    indices[at], data[at] = A.indices, A.data
+    a_eq = sparse.csc_matrix((data, indices, indptr), shape=(nint + 1, nvar))
+    b_eq = np.zeros(nint + 1)
     b_eq[-1] = 1.0
 
     x_rep = np.repeat(grid.coords, K, axis=0)
@@ -296,55 +293,47 @@ def random_feasible_measure(
     return pair_measure(density, control, xi_atoms)
 
 
-def _upwind_pairing(xi: np.ndarray, dminus: np.ndarray, dplus: np.ndarray) -> np.ndarray:
-    """xi . Du with the per-axis one-sided gradient matching the operator rows."""
-    chosen = np.where(xi > 0, dminus, dplus)
-    return np.sum(xi * chosen, axis=1)
-
-
 def excess_cost_identity(measure: GridMeasure, solution: ErgodicSolution) -> tuple[float, float]:
     """Decompose a feasible measure's excess cost over the eigenvalue.
 
-    Returns (lhs, rhs) with lhs = mu(F) - lambda and rhs the integral of the
-    pointwise convex-duality defect of the measure's control against the
-    solution's control under the discrete upwind pairing, both read with the
-    solution's own model and potential.  For measures feasible to 1e-9
-    against the shared stencils the two sides agree to 1e-6 relative, and rhs
-    is nonnegative up to the same resolution; this is the discrete form of the
-    excess-cost inequality that forces every invariant measure to pay at
-    least lambda.
+    Returns (lhs, rhs) with lhs = mu(F) - lambda and rhs the integral of each
+    pair's reduced cost against (u, lambda), F - lambda - (A_xi u)(x) read
+    from the pair's own row of the scheme, minus the same at the solution's
+    control (x, xi_u(x)): the pointwise convex-duality defect of the
+    measure's control under the discrete upwind pairing.  Both sides are read
+    with the solution's own model and potential.  For measures feasible to
+    1e-9 against the shared stencils the two sides agree to 1e-6 relative,
+    and rhs is nonnegative up to the same resolution; this is the discrete
+    form of the excess-cost inequality that forces every invariant measure to
+    pay at least lambda.
     """
     grid = measure.grid
     if grid != solution.grid:
         raise ValueError("measure and solution grids differ")
-    model, lam = solution.model, solution.lam
-    dminus, dplus = one_sided_differences(solution.u, grid)
+    model, lam, ids = solution.model, solution.lam, grid.interior_ids
     coords = grid.coords
     fvals = solution.potential.on_grid(grid)
-
-    ids = grid.interior_ids
-    xi_u = solution.xi_u[ids]
-    base = np.zeros(grid.num_nodes)
-    base[ids] = lagrangian_value(model, coords[ids], xi_u) - _upwind_pairing(
-        xi_u, dminus[ids], dplus[ids]
-    )
 
     coo = measure.weights.tocoo()
     x_ids = coo.row
     xi = measure.xi_atoms[coo.col]
     w = coo.data
-    lvals = lagrangian_value(model, coords[x_ids], xi)
-    lhs = float(np.sum((fvals[x_ids] + lvals) * w) - lam * w.sum())
+    cost = fvals[x_ids] + lagrangian_value(model, coords[x_ids], xi)
+    lhs = float(np.sum(cost * w) - lam * w.sum())
 
-    inner = grid.interior_mask[x_ids]
-    gap = np.empty_like(w)
-    gap[inner] = (
-        lvals[inner]
-        - _upwind_pairing(xi[inner], dminus[x_ids[inner]], dplus[x_ids[inner]])
-        - base[x_ids[inner]]
+    # the pairs' rows, then every interior node's row under xi_u
+    inner = np.flatnonzero(grid.interior_mask[x_ids])
+    local = grid.interior_index[x_ids[inner]]
+    xi_u = solution.xi_u[ids]
+    rows, _ = assemble_generator(
+        grid, np.concatenate([xi[inner], xi_u]),
+        nodes=np.concatenate([local, np.arange(grid.num_interior)]),
     )
-    # boundary atoms never enter an invariance row; their raw excess is exact
-    gap[~inner] = fvals[x_ids[~inner]] + lvals[~inner] - lam
+    au = rows @ solution.u[ids]
+    own = fvals[ids] + lagrangian_value(model, coords[ids], xi_u) - lam - au[inner.size:]
+    # boundary pairs never enter an invariance row; their raw excess is exact
+    gap = cost - lam
+    gap[inner] -= au[: inner.size] + own[local]
     rhs = float(np.sum(gap * w))
     return lhs, rhs
 

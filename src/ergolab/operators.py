@@ -1,8 +1,12 @@
 """Assembly of the discrete drift-diffusion operator -Lap + xi . D.
 
-One assembly routine serves the eigensolver, the stationary-density solve
-and the measure program; sharing it is what makes the adjoint identities
-between those modules hold to solver precision rather than to O(h).
+``assemble_generator`` is the only code that writes a row of the scheme: it
+alone chooses each advection leg's upwind side and replaces a leg that
+points at the wall.  Its rows at (node, drift) pairs serve the eigensolver
+and the stationary density (every interior node once), the measure program
+(one column per node and atom) and the excess-cost identity (one reduced
+cost per pair); sharing them is what makes the adjoint identities between
+those modules hold to solver precision rather than to O(h).
 
 Closures at the one-node boundary layer:
 
@@ -11,9 +15,10 @@ Closures at the one-node boundary layer:
   wall-adjacent node differences inward regardless of the drift sign.  Every
   row then sums to zero, so the operator is a conservative generator and its
   transpose has a probability null vector.  Off-diagonals stay nonpositive
-  as long as |drift| < 1/h, which the solvers check.  The coefficients are
-  snapped to multiples of one power of two, so the row sums are exactly 0 in
-  floating point too, for any order of summation.
+  as long as |drift| < 1/h at the walls; the assembly warns when a wall
+  row's inward coefficient is not negative.  Each row's coefficients are
+  snapped to multiples of a power of two fitted to that row, so the row sums
+  are exactly 0 in floating point too, for any order of summation.
 
 * ``dirichlet``: full centered/upwind stencils; legs hitting the boundary
   multiply the pinned value ``DIRICHLET_VALUE`` (M = 1e6) and are returned
@@ -37,6 +42,7 @@ iterate.
 from __future__ import annotations
 
 import ctypes
+import warnings
 
 import numpy as np
 from scipy import sparse
@@ -53,95 +59,100 @@ def assemble_generator(
     grid: Grid,
     control: np.ndarray,
     boundary_mode: str = STATE_CONSTRAINT,
+    nodes: np.ndarray | None = None,
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Build the interior operator matrix for -Lap + control . D (upwind).
+    """Rows of the scheme -Lap + xi . D (upwind) at (node, drift) pairs.
+
+    Row k is interior node ``nodes[k]`` (an interior-local id) under the
+    drift ``control[k]``, so one call writes the policy-evaluation matrix
+    (every interior node once, the default), the measure program's columns
+    (every node under every atom) or any other set of pairs.
 
     Args:
-        control: drift per node, shape (N, d) or (N_interior, d).
+        control: drift per row, shape (len(nodes), d); with the default
+            nodes also (N, d), read at the interior nodes.
         boundary_mode: one of ``state_constraint`` or ``dirichlet_big``.
+        nodes: interior-local ids, by default ``range(N_int)``.
 
     Returns:
-        (A, rhs) with A of shape (N_int, N_int) acting on interior values and
-        rhs the boundary contribution to move to the right-hand side (zero in
-        state-constraint mode).
+        (A, rhs) with A of shape (len(nodes), N_int) acting on interior values
+        and rhs the boundary contribution to move to the right-hand side (zero
+        in state-constraint mode).
+
+    Warns when the inward coefficient of a state-constrained wall row is not
+    negative, that is when an outward drift reached 1/h there: the row is
+    then no M-matrix row.
     """
     if boundary_mode not in (STATE_CONSTRAINT, DIRICHLET_BIG):
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     control = np.asarray(control, dtype=float)
-    if control.shape == (grid.num_nodes, grid.dim):
-        w_int = control[grid.interior_ids]
-    elif control.shape == (grid.num_interior, grid.dim):
-        w_int = control
-    else:
+    if nodes is None:
+        nodes = np.arange(grid.num_interior)
+        if control.shape == (grid.num_nodes, grid.dim):
+            control = control[grid.interior_ids]
+    if control.shape != (len(nodes), grid.dim):
         raise ValueError(f"control shape {control.shape} not understood")
 
-    nint = grid.num_interior
-    h = grid.spacing
-    # A row's off-diagonals sum in magnitude to at most `bound`, and so does
-    # its diagonal.  With q = 2^(ceil(log2 B) - 52) for B = 2 * (2 * bound),
-    # every multiple of q up to B in magnitude is a double, so once the
-    # coefficients are multiples of q every partial sum of a row is exact and
-    # a conservative row sums to exactly 0.  Snapping moves a coefficient by
-    # at most q / 2, a few ulps of the diffusion coefficient.
+    d, h = grid.dim, grid.spacing
+    # A row's off-diagonals sum in magnitude to at most its `bound`, and so
+    # does its diagonal.  With q = 2^(ceil(log2 B) - 52) for B = 2 * (2 *
+    # bound), every multiple of q up to B in magnitude is a double, so once
+    # the row's coefficients are multiples of q every partial sum of the row
+    # is exact and a conservative row sums to exactly 0.  Snapping moves a
+    # coefficient by at most q / 2, a few ulps of the diffusion coefficient.
     inv_h2 = 1.0 / h**2
-    bound = 2 * grid.dim * inv_h2 + sum(
-        max(w_int[:, a].max(), -w_int[:, a].min()) for a in range(grid.dim)
-    ) / h
+    bound = 2 * d * inv_h2 + np.abs(control).sum(axis=1) / h
     q = 2.0 ** (np.ceil(np.log2(4.0 * bound)) - 52)
-    inv_h2 = float(np.rint(inv_h2 / q) * q)
-    ids = np.arange(nint)
+    inv_h2 = np.rint(inv_h2 / q) * q
+    speed = np.rint(np.abs(control) / h / q[:, None]) * q[:, None]
+
+    # slot (a, -1) is column a, the diagonal column d and slot (a, +1) column
+    # 2d - a, which orders each row's columns by interior-local id; a slot
+    # whose neighbor is a boundary node holds -1 and is left out
+    cols = np.empty((len(nodes), 2 * d + 1), dtype=np.int32)
+    vals = np.zeros(cols.shape)
+    cols[:, d] = nodes
+    rhs = np.zeros(len(nodes))
     dirichlet = boundary_mode == DIRICHLET_BIG
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    diag = np.zeros(nint)
-    rhs = np.zeros(nint)
-
+    monotone = True
     # one leg per (axis, side): diffusion always, advection on the upwind side
-    for a in range(grid.dim):
-        w = w_int[:, a]
-        speed = np.abs(w) / h
-        _snap(speed, q)
+    for a in range(d):
+        w = control[:, a]
         upwind_side = np.where(w > 0, -1, 1)  # s = -1 means backward difference
-        neighbors = {s: grid.interior_neighbor(a, s) for s in (-1, 1)}
+        neighbors = {s: grid.interior_neighbor(a, s)[nodes] for s in (-1, 1)}
         for s in (-1, 1):
-            nb = neighbors[s]
-            inn = nb >= 0
-            out = ~inn
-            coef = inv_h2 + np.where(upwind_side == s, speed, 0.0)
-            rows.append(ids[inn])
-            cols.append(nb[inn])
-            vals.append(-coef[inn])
-            diag[inn] += coef[inn]
+            slot, inward = (a, 2 * d - a) if s < 0 else (2 * d - a, a)
+            out = neighbors[s] < 0
+            coef = inv_h2 + np.where(upwind_side == s, speed[:, a], 0.0)
+            cols[:, slot] = neighbors[s]
+            vals[:, slot] -= coef
             if dirichlet:
-                diag[out] += coef[out]
                 rhs[out] += coef[out] * DIRICHLET_VALUE
-            else:
-                # the diffusion leg is dropped; the advection leg becomes the
-                # inward difference on the opposite side, sign-reversed
-                wall = out & (upwind_side == s) & (w != 0)
-                rows.append(ids[wall])
-                cols.append(neighbors[-s][wall])
-                vals.append(speed[wall])
-                diag[wall] -= speed[wall]
-
-    rows.append(ids)
-    cols.append(ids)
-    vals.append(diag)
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nint, nint),
+                continue
+            # the diffusion leg is dropped; the advection leg becomes the
+            # inward difference on the opposite side, sign-reversed, and the
+            # inward coefficient becomes -1/h^2 + |w|/h
+            wall = out & (upwind_side == s) & (neighbors[-s] >= 0)
+            vals[wall, inward] += speed[wall, a]
+            monotone &= bool((speed[wall, a] < inv_h2[wall]).all())
+    if not monotone:
+        warnings.warn(
+            "outward drift at a wall node reached 1/h; the inward closure "
+            "loses monotonicity on this grid",
+            stacklevel=2,
+        )
+    present = cols >= 0
+    if not dirichlet:
+        vals[~present] = 0.0  # the diffusion legs into the wall
+    # the diagonal balances the row's legs, those to a pinned wall included
+    # (their value is in rhs), and is exact since every partial sum is
+    vals[:, d] = -vals.sum(axis=1)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    A = sparse.csr_matrix(
+        (vals[present], cols[present], indptr), shape=(len(nodes), grid.num_interior)
     )
-    return A.tocsr(), rhs
-
-
-def _snap(values: np.ndarray, q: float) -> None:
-    """Round ``values`` in place to the nearest multiples of the power of two
-    ``q``; in place, because the held factor may be alive during assembly."""
-    values /= q
-    np.rint(values, out=values)
-    values *= q
+    return A, rhs
 
 
 class BorderedSolver:

@@ -8,8 +8,9 @@ import numpy as np
 from scipy import sparse
 
 from ergolab.density import DensityField, GridMeasure
-from ergolab.grid import Grid, _differences, check_scalar_field, check_vector_field
-from ergolab.hamiltonian import PotentialSpec
+from ergolab.grid import Grid, _axis_slab, _differences, check_scalar_field, check_vector_field
+from ergolab.hamiltonian import HamiltonianModel, PotentialSpec, running_cost
+from ergolab.operators import assemble_generator
 from ergolab.simulate import simulate_average
 
 PATH_ARRAYS = (
@@ -22,6 +23,54 @@ def gradient_central(values: np.ndarray, grid: Grid) -> np.ndarray:
     boundary."""
     dminus, dplus = _differences(values, grid)
     return (0.5 * (dminus + dplus)).reshape(grid.num_nodes, grid.dim)
+
+
+def one_sided_differences(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis backward and forward differences (D_minus, D_plus), each of
+    shape (N, d) and zero on the boundary layer, with the missing one at a
+    wall-adjacent node replaced by the inward one, as the state-constraint
+    closure does."""
+    dminus, dplus = _differences(values, grid)
+    for a in range(grid.dim):
+        first = _axis_slab(grid, a, slice(1, 2)) + (a,)
+        last = _axis_slab(grid, a, slice(-2, -1)) + (a,)
+        dminus[first] = dplus[first]
+        dplus[last] = dminus[last]
+    return dminus.reshape(grid.num_nodes, grid.dim), dplus.reshape(grid.num_nodes, grid.dim)
+
+
+def upwind_pairing(xi: np.ndarray, dminus: np.ndarray, dplus: np.ndarray) -> np.ndarray:
+    """xi . Du with the per-axis one-sided difference the upwind rows use:
+    backward where xi_a > 0, forward otherwise."""
+    return np.sum(xi * np.where(xi > 0, dminus, dplus), axis=1)
+
+
+def per_atom_program(
+    grid: Grid, xi_atoms: np.ndarray, model: HamiltonianModel, potential: PotentialSpec
+) -> tuple[sparse.csc_matrix, np.ndarray]:
+    """The measure program's equality matrix and objective built one atom at
+    a time: the generator under each constant atom and the running cost at
+    that atom, spread over the atom's columns, then the mass row."""
+    K = xi_atoms.shape[0]
+    nvar = grid.num_nodes * K
+    rows, cols, vals = [], [], []
+    objective = np.empty(nvar)
+    for j, atom in enumerate(xi_atoms):
+        A, _ = assemble_generator(grid, np.tile(atom, (grid.num_interior, 1)))
+        coo = A.tocoo()
+        rows.append(coo.col)
+        cols.append(grid.interior_ids[coo.row] * K + j)
+        vals.append(coo.data)
+        atom_everywhere = np.tile(atom, (grid.num_nodes, 1))
+        objective[j::K] = running_cost(model, potential, grid.coords, atom_everywhere)
+    rows.append(np.full(nvar, grid.num_interior))
+    cols.append(np.arange(nvar))
+    vals.append(np.ones(nvar))
+    a_eq = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.num_interior + 1, nvar),
+    ).tocsc()
+    return a_eq, objective
 
 
 def path_count_mismatches(grid, control, model, potential, params, counts=(1, 2, 4, 7)):

@@ -540,6 +540,18 @@ def test_tied_keys_independent_of_override_order(tmp_path):
             "solve", ("grid.radius=4e-154", "grid.spacing=1e-154"), "'grid'",
             id="grid.spacing=1e-154",
         ),
+        # f is finite at the corner but the growth audit's |f|^(2 - 1/gamma) is not
+        pytest.param(
+            "check", ("potential.family=exp_abs", "grid.radius=700", "grid.spacing=100"), "'grid'",
+            id="exp_abs-grid.radius=700",
+        ),
+        pytest.param(
+            "check",
+            ("potential.family=power_beta", "potential.beta=100", "grid.radius=1000",
+             "grid.spacing=100"),
+            "'grid'",
+            id="power_beta-grid.radius=1000",
+        ),
     ],
 )
 def test_out_of_range_run_parameters_rejected(tmp_path, capsys, command, override, key):

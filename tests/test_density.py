@@ -151,8 +151,9 @@ def test_inward_drift_beyond_one_over_h_rejected():
     # entry (min -0.545), which the positivity check must catch
     g = build_grid(1, 1.0, 0.1)
     ctrl = -12.0 * np.sign(g.coords)
-    with pytest.raises(ReducibleChainError, match="not positive"):
-        stationary_density(g, ctrl)
+    with pytest.warns(UserWarning, match="reached 1/h"):
+        with pytest.raises(ReducibleChainError, match="not positive"):
+            stationary_density(g, ctrl)
 
 
 @pytest.mark.parametrize("dim, radius, spacing", [(1, 6.0, 0.02), (2, 4.0, 0.1)])

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from ergolab.grid import (
     fill_boundary_nearest,
     gradient_inward_fallback,
     laplacian,
-    one_sided_differences,
 )
 from ergolab.operators import assemble_generator
-from oracles import gradient_central
+from oracles import gradient_central, one_sided_differences, upwind_pairing
 
 
 def advect_upwind(values, drift, grid):
@@ -50,6 +51,9 @@ def test_build_grid_2d_minimal_interior():
     assert g.num_interior == 1
     assert np.allclose(g.coords[g.interior_ids[0]], [0.0, 0.0])
     assert g.interior_ids[0] == g.origin_id
+    # both neighbors along each axis are walls, so no leg has anywhere to go
+    A, _ = assemble_generator(g, np.array([[0.5, -0.5]]))
+    assert A.toarray().tolist() == [[0.0]]
 
 
 def test_build_grid_node_count():
@@ -171,6 +175,24 @@ def test_generator_rows_sum_to_exactly_zero(dim, radius, spacing):
     assert np.all(A @ np.ones(g.num_interior) == 0.0)
 
 
+def test_generator_rows_at_pairs_sum_to_exactly_zero():
+    # every node under the drifts 0 and +-3 at h = 0.5: the zero-drift rows'
+    # bound 4 * 8 is a power of two and the others' 4 * 14 lies above the next
+    # one, so each row is snapped to its own quantum
+    g = build_grid(1, 3.0, 0.5)
+    drifts = np.array([[0.0], [3.0], [-3.0]])
+    nodes = np.repeat(np.arange(g.num_interior), 3)
+    with pytest.warns(UserWarning, match="reached 1/h"):  # 3 > 1/h at the walls
+        A, _ = assemble_generator(g, np.tile(drifts, (g.num_interior, 1)), nodes=nodes)
+    assert A.shape == (3 * g.num_interior, g.num_interior)
+    assert np.all(A @ np.ones(g.num_interior) == 0.0)
+    # each row is the one the whole-grid assembly writes under its drift
+    for j, drift in enumerate(drifts):
+        with pytest.warns(UserWarning, match="reached 1/h") if j else nullcontext():
+            whole, _ = assemble_generator(g, np.tile(drift, (g.num_interior, 1)))
+        assert (A[j::3] != whole).nnz == 0
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_generator_rows_match_stencil_functions(dim):
     # the matrix route and the field-operator route must agree exactly:
@@ -180,10 +202,11 @@ def test_generator_rows_match_stencil_functions(dim):
     u = rng.normal(size=g.num_nodes)
     u = fill_boundary_nearest(u, g)
     ctrl = rng.normal(scale=2.0, size=(g.num_nodes, dim))
-    A, _ = assemble_generator(g, ctrl, "state_constraint")
+    # in 2d some wall-adjacent drift points outward faster than 1/h = 4
+    with pytest.warns(UserWarning, match="reached 1/h") if dim == 2 else nullcontext():
+        A, _ = assemble_generator(g, ctrl, "state_constraint")
     lhs = A @ u[g.interior_ids]
-    dminus, dplus = one_sided_differences(u, g)
-    pairing = np.sum(ctrl * np.where(ctrl > 0, dminus, dplus), axis=1)
+    pairing = upwind_pairing(ctrl, *one_sided_differences(u, g))
     rhs = -laplacian(u, g)[g.interior_ids] + pairing[g.interior_ids]
     assert np.allclose(lhs, rhs, atol=1e-10)
 

@@ -9,6 +9,7 @@ from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import Grid, build_grid
 from ergolab.hamiltonian import (
     constant_potential,
+    lagrangian_value,
     pure_power,
     quadratic_power_potential,
     running_cost,
@@ -25,7 +26,7 @@ from ergolab.measure_lp import (
     solve_lp,
     uniform_xi_atoms,
 )
-from oracles import exact_pair_measure
+from oracles import exact_pair_measure, one_sided_differences, per_atom_program, upwind_pairing
 
 
 def full_lp_value(problem: LPProblem) -> float:
@@ -39,6 +40,27 @@ def full_lp_value(problem: LPProblem) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def upwind_gap_integral(measure, solution) -> float:
+    """Oracle of the excess identity's rhs: each interior pair's defect
+    L(xi) - xi . D u - (L(xi_u) - xi_u . D u) under the upwind pairing, each
+    boundary pair's raw excess F - lambda, integrated against the measure."""
+    g, model = measure.grid, solution.model
+    dminus, dplus = one_sided_differences(solution.u, g)
+    coo = measure.weights.tocoo()
+    x, xi, w = coo.row, measure.xi_atoms[coo.col], coo.data
+    inner = g.interior_mask[x]
+    lvals = lagrangian_value(model, g.coords[x], xi)
+    xi_u = solution.xi_u[x]
+    gap = (
+        lvals
+        - upwind_pairing(xi, dminus[x], dplus[x])
+        - lagrangian_value(model, g.coords[x], xi_u)
+        + upwind_pairing(xi_u, dminus[x], dplus[x])
+    )
+    raw = solution.potential.on_grid(g)[x] + lvals - solution.lam
+    return float(np.sum(np.where(inner, gap, raw) * w))
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +79,28 @@ def test_assemble_shape_counting():
     # three interior nodes and three control atoms: 3 + 1 rows, 15 variables
     g = build_grid(1, 2.0, 1.0)
     atoms = np.array([[-1.0], [0.0], [1.0]])
-    problem = assemble_lp(g, atoms, pure_power(1.5), quadratic_power_potential(1.5))
+    with pytest.warns(UserWarning, match="reached 1/h"):  # |xi| = 1/h at the walls
+        problem = assemble_lp(g, atoms, pure_power(1.5), quadratic_power_potential(1.5))
     assert problem.a_eq.shape == (4, 15)
     assert problem.objective.shape == (15,)
     assert np.allclose(problem.a_eq.toarray()[-1], 1.0)
+
+
+@pytest.mark.parametrize(
+    "dim, radius, spacing, bound, count",
+    [(1, 4.0, 0.1, 4.0, 41), (2, 3.0, 0.2, 3.0, 9), (1, 4.0, 0.1, 0.0, 41)],
+    ids=["1d-41", "2d-9x9", "tied-zero"],
+)
+def test_one_call_program_matches_per_atom_assembly(dim, radius, spacing, bound, count):
+    g = build_grid(dim, radius, spacing)
+    atoms = uniform_xi_atoms(bound, count, dim)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    problem = assemble_lp(g, atoms, model, pot)
+    a_eq, objective = per_atom_program(g, atoms, model, pot)
+    assert np.array_equal(problem.a_eq.indptr, a_eq.indptr)
+    assert np.array_equal(problem.a_eq.indices, a_eq.indices)
+    assert problem.a_eq.data.tobytes() == a_eq.data.tobytes()
+    assert problem.objective.tobytes() == objective.tobytes()
 
 
 def test_assemble_requires_zero_atom():
@@ -239,8 +279,9 @@ def test_highs_status_checked(lp_instance):
 def test_overflowing_running_cost_refused():
     # |xi|^3 / 3 overflows at atoms of 1e200: no column may reach HiGHS
     g = build_grid(1, 4.0, 0.2)
-    problem = assemble_lp(g, uniform_xi_atoms(1e200, 3, 1), pure_power(1.5),
-                          quadratic_power_potential(1.5))
+    with pytest.warns(UserWarning, match="reached 1/h"):
+        problem = assemble_lp(g, uniform_xi_atoms(1e200, 3, 1), pure_power(1.5),
+                              quadratic_power_potential(1.5))
     with pytest.raises(LPSolveError, match="not finite"):
         solve_lp(problem)
 
@@ -326,6 +367,7 @@ def test_excess_identity_random_sweep(lp_instance):
         assert lhs >= -1e-8
         assert rhs >= -1e-8
         assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
+        assert abs(rhs - upwind_gap_integral(mu, sol)) <= 1e-12
 
 
 def test_weak_duality(lp_instance):
