@@ -113,19 +113,19 @@ def pair_measure(
     density: DensityField, control: np.ndarray, xi_atoms: np.ndarray
 ) -> GridMeasure:
     """Lift a density to the product grid: mass rho(x) h^d at the atom nearest
-    to control(x), which is the nearest end atom for a control outside
-    the atoms' hull.
+    to control(x) (the lowest-indexed one on a tie), which is the nearest end
+    atom for a control outside the atoms' hull.
     """
     grid = density.grid
     control = check_vector_field(control, grid)
     xi_atoms = np.atleast_2d(np.asarray(xi_atoms, dtype=float))
     if xi_atoms.shape[1] != grid.dim:
         raise ValueError("control atoms have wrong dimension")
-    from scipy.spatial import cKDTree
-
     support = np.flatnonzero(density.rho > 0)
-    tree = cKDTree(xi_atoms)
-    _, nearest = tree.query(control[support])
+    dist2 = np.zeros((support.size, xi_atoms.shape[0]))
+    for axis in range(grid.dim):
+        dist2 += np.square(control[support, axis, None] - xi_atoms[:, axis])
+    nearest = dist2.argmin(axis=1)
     hd = grid.spacing**grid.dim
     weights = sparse.csr_matrix(
         (density.rho[support] * hd, (support, nearest)),

@@ -9,6 +9,13 @@ an independent route to the ergodic eigenvalue: the solver here is a generic
 LP method (HiGHS, driven through the ``_Highs`` object that scipy ships)
 and shares no linear-algebra path with policy iteration.
 
+HiGHS is reached through scipy's binding ``scipy.optimize._highspy._core``
+alone, loaded from its extension file by ``_load_highs_core``.  A plain
+import of it would first run the ``scipy.optimize`` package init, which
+loads linprog, minimize, ``scipy.special``, ``scipy.fft`` and
+``scipy.spatial``: about 80 ms and 13 MiB in every process that imports
+ergolab, including those that never solve an LP.
+
 The program is solved by column generation.  At the optimum almost every
 (node, atom) column carries no mass, so HiGHS only ever sees a restricted
 master problem over an active set of columns.  The seed is one column per
@@ -33,11 +40,15 @@ column.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from .density import GridMeasure, pair_measure, stationary_density
 from .eigensolver import ErgodicSolution
@@ -50,6 +61,33 @@ from .hamiltonian import (
 )
 from .operators import assemble_generator
 
+
+def _load_highs_core():
+    """scipy's HiGHS binding ``scipy.optimize._highspy._core``, loaded from its
+    extension file without running the ``scipy.optimize`` package init.
+
+    The module is registered under its own name, so a later ``import
+    scipy.optimize`` shares this module object and pybind11 registers its
+    types once; a module already imported is reused.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = str(Path(scipy.__file__).parent / "optimize" / "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS binding _core in {where}", name=name, path=where)
+    sys.modules[name] = module = module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _load_highs_core()
+
 PRIMAL_FEASIBILITY_TOL = 1e-9
 COMPLEMENTARITY_TOL = 1e-8
 PRICING_TOL = 1e-9  # a column enters the master when it prices below -PRICING_TOL
@@ -57,7 +95,13 @@ PRIMAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 class LPSolveError(RuntimeError):
-    """The measure program is infeasible/unbounded or fails its certificates."""
+    """The measure program is infeasible/unbounded or fails its certificates.
+
+    ``stats`` holds the master's counters (``_Master.stats``) when the error
+    is raised after the master was built, and None before.
+    """
+
+    stats: dict | None = None
 
 
 @dataclass
@@ -190,6 +234,22 @@ class _Master:
         solution = self.highs.getSolution()
         return np.asarray(solution.col_value), np.asarray(solution.row_dual)
 
+    def stats(self) -> dict:
+        """The solve's deterministic counters so far: full and active column
+        counts, pricing rounds, per round the columns added (the seed first)
+        and the HiGHS iterations, the iterations' sum, and the last solve's
+        status and model status."""
+        return {
+            "columns": self.problem.objective.size,
+            "active_columns": int(self.ids.size),
+            "pricing_rounds": len(self.round_iterations),
+            "round_columns": self.round_columns,
+            "round_iterations": self.round_iterations,
+            "highs_iterations": sum(self.round_iterations),
+            "status": int(self.status),
+            "message": self.message,
+        }
+
 
 def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     """Minimize the running cost over the discrete invariant-measure polytope.
@@ -198,18 +258,36 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     docstring).  Returns the optimal measure and its objective value, after
     verifying the primal feasibility, complementary-slackness and
     dual-feasibility certificates on the full program.
-    ``measure.info["stats"]`` holds the solve's deterministic counters: full
-    and final active column counts, pricing rounds, per round the columns
-    added (the seed first) and the HiGHS iterations, the iterations' sum,
-    and the last master's status and model status.
+    ``measure.info["stats"]`` holds the master's counters (``_Master.stats``);
+    an ``LPSolveError`` raised once the master exists carries them too.
     """
     if not np.isfinite(problem.objective).all():
         raise LPSolveError("the running cost is not finite on every (node, atom) column")
+    master = _Master(problem)
+    try:
+        mu, certificates = _generate_columns(master)
+    except LPSolveError as exc:
+        exc.stats = master.stats()
+        raise
+    N, K = problem.grid.num_nodes, problem.num_atoms
+    measure = GridMeasure(
+        weights=sparse.csr_matrix(mu.reshape(N, K)),
+        xi_atoms=problem.xi_atoms,
+        grid=problem.grid,
+        info={**certificates, "stats": master.stats()},
+    )
+    return measure, float(master.value)
+
+
+def _generate_columns(master: _Master) -> tuple[np.ndarray, dict]:
+    """Run the pricing rounds from the zero-atom seed to the optimum and take
+    the certificates on the full program; return the full measure vector and
+    the certificates."""
+    problem = master.problem
     N, K = problem.grid.num_nodes, problem.num_atoms
     zero = np.all(np.abs(problem.xi_atoms) < 1e-14, axis=1).argmax()  # the first zero atom
     active = np.zeros((N, K), dtype=bool)
     active[:, zero] = True
-    master = _Master(problem)
     master.add(np.flatnonzero(active))
     while True:
         x, duals = master.solve()
@@ -235,29 +313,11 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     dual = reduced[mu == 0].min()
     if dual < -PRICING_TOL:
         raise LPSolveError(f"dual feasibility {dual:.3e} < -1e-9")
-
-    weights = sparse.csr_matrix(mu.reshape(N, K))
-    measure = GridMeasure(
-        weights=weights,
-        xi_atoms=problem.xi_atoms,
-        grid=problem.grid,
-        info={
-            "primal_feasibility": float(primal),
-            "complementarity": float(comp),
-            "dual_feasibility_min": float(reduced.min()),
-            "stats": {
-                "columns": N * K,
-                "active_columns": int(master.ids.size),
-                "pricing_rounds": len(master.round_iterations),
-                "round_columns": master.round_columns,
-                "round_iterations": master.round_iterations,
-                "highs_iterations": sum(master.round_iterations),
-                "status": int(master.status),
-                "message": master.message,
-            },
-        },
-    )
-    return measure, float(master.value)
+    return mu, {
+        "primal_feasibility": float(primal),
+        "complementarity": float(comp),
+        "dual_feasibility_min": float(reduced.min()),
+    }
 
 
 def _measure_vector(measure: GridMeasure, problem: LPProblem) -> np.ndarray:

@@ -213,7 +213,12 @@ def _lp(run: _Run) -> None:
     count = int(config["lp"]["xi_count"])
     run.atoms = uniform_xi_atoms(bound, count, grid.dim)
     run.problem = assemble_lp(grid, run.atoms, run.model, run.potential)
-    run.measure, lam_bar = solve_lp(run.problem)
+    try:
+        run.measure, lam_bar = solve_lp(run.problem)
+    except LPSolveError as exc:
+        if exc.stats is not None:  # the rounds that ran before the failure
+            run.results["lp"] = {"stats": exc.stats}
+        raise
     spacing_xi = 2.0 * bound / (count - 1)
     dist = minimizer_control_distance(run.measure, sol)
     certificates = dict(run.measure.info)

@@ -9,6 +9,7 @@ import pytest
 import ergolab.config
 import ergolab.eigensolver
 import ergolab.grid
+import ergolab.measure_lp
 import ergolab.runner
 from ergolab.cli import main
 from ergolab.config import (
@@ -377,6 +378,21 @@ def test_exhaust_never_sizes_the_grid(tmp_path):
         assert main(["exhaust", "--out-dir", str(tmp_path / str(i))] + args) == 0
         payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
         assert [r for r, _ in payload["results"]["exhaustion"]["sequence"]] == radii
+
+
+def test_failed_lp_reports_its_rounds(tmp_path, monkeypatch):
+    # the certificate fails after the last round: exit 3, and results.lp
+    # still holds the stats of the rounds that ran
+    monkeypatch.setattr(ergolab.measure_lp, "COMPLEMENTARITY_TOL", -1.0)
+    sets = ["--set", "grid.spacing=0.2", "--set", "lp.xi_count=9"]
+    assert main(["lp", "--out-dir", str(tmp_path)] + sets) == 3
+    results = read_strict_json(tmp_path / "summary.json")["results"]
+    assert results["error"].startswith("LPSolveError: complementary slackness")
+    stats = results["lp"]["stats"]
+    assert list(results["lp"]) == ["stats"]
+    assert stats["pricing_rounds"] == len(stats["round_iterations"]) >= 1
+    assert stats["highs_iterations"] == sum(stats["round_iterations"]) > 0
+    assert sum(stats["round_columns"]) == stats["active_columns"]
 
 
 def test_exhaust_records_a_failed_radius(tmp_path, monkeypatch):

@@ -112,6 +112,22 @@ def test_pair_measure_clips_outside_hull():
     assert marg[2] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pair_measure_atom_matches_kdtree_query():
+    # a k-d tree's nearest neighbour is the reference; on an exact tie the
+    # lowest-indexed atom takes the mass
+    from scipy.spatial import cKDTree
+
+    g = build_grid(2, 2.0, 0.25)
+    rho = stationary_density(g, np.zeros((g.num_nodes, 2)))
+    atoms = np.random.default_rng(3).uniform(-2.0, 2.0, size=(25, 2))
+    ctrl = np.random.default_rng(4).uniform(-3.0, 3.0, size=(g.num_nodes, 2))
+    pairs = pair_measure(rho, ctrl, atoms).weights.tocoo()
+    assert np.array_equal(pairs.row, np.flatnonzero(rho.rho > 0))
+    assert np.array_equal(pairs.col, cKDTree(atoms).query(ctrl[pairs.row])[1])
+    tied = pair_measure(rho, np.full((g.num_nodes, 2), 0.5), [[1.0, 0.0], [0.0, 1.0]])
+    assert tied.weights[:, 1].nnz == 0
+
+
 def test_average_cost_manufactured(manufactured_1d):
     # shared stencils make the controlled density adjoint-exact, so the
     # measure-weighted cost reproduces the eigenvalue to solver precision,

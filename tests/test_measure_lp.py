@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -273,6 +276,27 @@ def test_highs_status_checked(lp_instance):
                      grid=problem.grid, xi_atoms=problem.xi_atoms)
     with pytest.raises(LPSolveError, match="HiGHS run returned"):
         solve_lp(huge)
+
+
+def test_failed_certificate_carries_the_master_counters(lp_instance, monkeypatch):
+    # a negative tolerance fails complementarity after the last round, so the
+    # error carries the counters of the rounds that the solve completed
+    problem, measure = lp_instance[5], lp_instance[6]
+    monkeypatch.setattr(measure_lp, "COMPLEMENTARITY_TOL", -1.0)
+    with pytest.raises(LPSolveError, match="complementary slackness") as caught:
+        solve_lp(problem)
+    assert caught.value.stats == measure.info["stats"]
+    assert caught.value.stats["pricing_rounds"] >= 2
+
+
+def test_missing_highs_binding_names_its_directory(tmp_path, monkeypatch):
+    name = "scipy.optimize._highspy._core"
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(measure_lp.scipy, "__file__", str(tmp_path / "__init__.py"))
+    where = re.escape(str(tmp_path / "optimize" / "_highspy"))
+    with pytest.raises(ImportError, match=f"no HiGHS binding _core in {where}"):
+        measure_lp._load_highs_core()
+    assert name not in sys.modules
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
