@@ -75,10 +75,11 @@ LAMBDA_TOLERANCE = 1e-10
 # terminate.
 CONTROL_TOLERANCE = 1e-6
 # A grid starts from the solution at twice its spacing when that grid has at
-# least this many nodes.  The 40,401-node 2d solve (2-vCPU VM, medians of
-# five) took 1.56 s from the zero control, 1.09 s from a 10,201-node level,
-# 1.04 s with levels down to 2,601 nodes and 1.02 s with a 625-node level
-# too: smaller levels gain nothing measurable.
+# least this many nodes.  The `solve` stage of the 40,401-node 2d run
+# (fields.csv included; 2-vCPU VM, medians of six alternating runs) took
+# 0.35 s from the zero control, 0.27 s from a 10,201-node level, 0.26 s with
+# levels down to 2,601 nodes and 0.26 s with a 625-node level too: smaller
+# levels gain nothing measurable.
 COARSE_MIN_NODES = 2000
 
 
@@ -221,8 +222,8 @@ def _coarse_level(
 ) -> ErgodicSolution | None:
     """The converged solution at spacing 2h to start from, or None when that
     grid is below ``COARSE_MIN_NODES`` or its solve fails or does not
-    converge.  ``coarse``, when given, is used instead of a new solve and
-    keeps its factor; a level solved here releases its factor before the
+    converge.  ``coarse``, when given, is used instead of a new solve.  The
+    level releases its factor, whether solved here or handed in, before the
     finer grid makes its own.
 
     A pinned wall keeps the zero-control start: there policy iteration has
@@ -241,9 +242,10 @@ def _coarse_level(
                 coarse = solve_ergodic_hjb(coarse_grid, model, potential, opts)
             except SingularEvaluationError:
                 return None
-        coarse.solver.drop()
     elif coarse.grid != coarse_grid:
         raise ValueError(f"coarse solution must be on {coarse_grid}, got {coarse.grid}")
+    if coarse.solver is not None:  # a solution built by hand holds no solver
+        coarse.solver.drop()
     return coarse if coarse.converged else None
 
 
@@ -271,7 +273,8 @@ def solve_ergodic_hjb(
     otherwise, or when that solve fails or does not converge, it starts from
     the zero control.  ``coarse`` hands in a solution on the 2h grid that the
     caller already holds, which is then used instead of solving that grid
-    again; its held factor is left to the caller.  Only ``grid`` raises
+    again.  Either way the 2h level's factor is released before ``grid``
+    factors, so one factor is alive at a time.  Only ``grid`` raises
     warnings.
 
     Stops when |lambda_{k+1} - lambda_k| <= LAMBDA_TOLERANCE and the control

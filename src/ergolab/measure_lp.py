@@ -138,7 +138,11 @@ def assemble_lp(
     Variable ordering is node-major: index = node * num_atoms + atom.
     Columns at boundary nodes have zero invariance coefficients (the
     state-constraint closure references no boundary value), so boundary mass
-    is controlled only through the objective and the mass row.
+    is controlled only through the objective and the mass row.  They are kept
+    because they bound the mass row's dual: with them dropped, ``lp_2d``'s
+    program (68,121 of 77,841 columns left) read ``dual_feasibility_min``
+    -1.4e-9 instead of -1.6e-10, and the 2d R = 3, h = 0.1 program with 9
+    atoms per axis failed its dual check at -3.5e-8.
     """
     xi_atoms = np.atleast_2d(np.asarray(xi_atoms, dtype=float))
     if xi_atoms.shape[1] != grid.dim:

@@ -41,7 +41,6 @@ iterate.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 
 import numpy as np
@@ -281,7 +280,6 @@ class BorderedSolver:
     def drop(self) -> None:
         """Release the held factor; the next solve factors afresh."""
         self._lu = self._order = None
-        _return_freed_memory()
 
     def stats(self) -> dict:
         """Sizes and work counts.  ``lu_fill`` is the entries SuperLU stores
@@ -296,16 +294,3 @@ class BorderedSolver:
             "refinement_solves": self.refinement_solves,
         }
 
-
-def _return_freed_memory() -> None:
-    """Hand the free pages of the C heap back to the system (glibc only).
-
-    A held factor lives while the next system is assembled above it, so the
-    factor that replaces it cannot always reuse its pages: on the 40,401-node
-    2d solve, peak RSS read 162 instead of 147 MiB on about half of the
-    interpreter's hash seeds, and 147-148 MiB on all with this call.
-    """
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):  # no glibc allocator
-        pass

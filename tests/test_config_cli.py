@@ -64,6 +64,19 @@ def test_malformed_json():
         parse_config("{not json")
 
 
+def test_sections_and_root_must_be_objects():
+    with pytest.raises(ConfigError, match="'grid' must be an object"):
+        parse_config('{"grid": 5}')
+    with pytest.raises(ConfigError, match="root must be a JSON object"):
+        parse_config("[1]")
+
+
+def test_set_without_equals_sign_refused(tmp_path, capsys):
+    assert main(["solve", "--out-dir", str(tmp_path), "--set", "grid.dim"]) == 2
+    assert "--set expects KEY=VALUE, got 'grid.dim'" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_structural_validation():
     with pytest.raises(ConfigError, match="burn_in"):
         parse_config('{"sde": {"burn_in": 300.0}}')

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, sparse
 
 import ergolab.density
 from ergolab.density import (
@@ -205,6 +205,46 @@ def test_density_check_failed_on_a_held_factor_solves_again(monkeypatch):
     assert not sol.solver.reused
     fresh = stationary_density(g, sol.xi_u).rho
     assert np.abs(rho - fresh).max() <= 1e-12 * fresh.max()
+
+
+def test_generator_with_nonzero_row_sums_refused(monkeypatch):
+    # a diagonal shift gives A nonzero row sums, so the border multiplier m is
+    # not 0 and A^T rho = -m e_origin: the bordered solve meets its tolerance,
+    # rho is positive, and only the adjoint residual check refuses it
+    def shifted(grid, control, *args, **kwargs):
+        A, rhs = assemble_generator(grid, control, *args, **kwargs)
+        return A + 0.1 * sparse.identity(A.shape[0], format="csr"), rhs
+
+    monkeypatch.setattr(ergolab.density, "assemble_generator", shifted)
+    g = build_grid(1, 2.0, 0.1)
+    with pytest.raises(ReducibleChainError, match="adjoint residual"):
+        stationary_density(g, np.zeros((g.num_nodes, 1)))
+
+
+def test_roundoff_negative_density_entries_clamped_to_zero(monkeypatch):
+    # an entry in [-1e-12 max, 0) is roundoff around a zero: it is set to 0,
+    # and rho stays normalized; under the control 3.5 x the density at the
+    # wall is about 1e-15 of its peak, so moving it keeps the adjoint residual
+    g = build_grid(1, 5.0, 0.05)
+    solve = ergolab.density.BorderedSolver.solve
+
+    def one_entry_below_zero(solver, *args, **kwargs):
+        x = solve(solver, *args, **kwargs)
+        x[0] = -1e-13 * x[:-1].max()
+        return x
+
+    monkeypatch.setattr(ergolab.density.BorderedSolver, "solve", one_entry_below_zero)
+    rho = stationary_density(g, 3.5 * g.coords).rho
+    assert rho[g.interior_ids[0]] == 0.0
+    assert rho.min() == 0.0
+    assert rho.sum() * g.spacing == pytest.approx(1.0, abs=1e-14)
+
+
+def test_pair_measure_atom_dimension_checked():
+    g = build_grid(1, 2.0, 0.1)
+    density = stationary_density(g, np.zeros((g.num_nodes, 1)))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        pair_measure(density, np.zeros((g.num_nodes, 1)), np.zeros((3, 2)))
 
 
 def test_exact_pair_measure_feasible(manufactured_1d):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ def test_coarse_solution_must_be_on_the_2h_grid():
     other = solve_ergodic_hjb(build_grid(2, 3.0, 0.2), model, pot)
     with pytest.raises(ValueError, match="coarse solution"):
         solve_ergodic_hjb(build_grid(2, 3.0, 0.05), model, pot, coarse=other)
+
+
+def test_handed_in_coarse_level_releases_its_factor():
+    # 121^2 nodes from the 61^2-node solution at 2h: the coarse solution's
+    # factor is released before the finer grid factors, and its counters stay
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    coarse = solve_ergodic_hjb(build_grid(2, 3.0, 0.1), model, pot)
+    before = coarse.solver.stats()
+    assert before["lu_fill"] > 0
+    fine = solve_ergodic_hjb(build_grid(2, 3.0, 0.05), model, pot, coarse=coarse)
+    assert fine.converged and fine.levels[-1]["nodes"] == 61**2
+    assert coarse.solver.stats() == {**before, "lu_fill": 0}
+    assert fine.solver.stats()["lu_fill"] > 0
+
+
+def test_hand_built_coarse_level_holds_no_solver():
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    coarse = replace(solve_ergodic_hjb(build_grid(2, 3.0, 0.1), model, pot), solver=None)
+    fine = solve_ergodic_hjb(build_grid(2, 3.0, 0.05), model, pot, coarse=coarse)
+    assert fine.converged
+    assert fine.levels[-1]["factorizations"] == fine.levels[-1]["refinement_solves"] == 0
 
 
 def test_policy_improvement_quadratic():

@@ -72,6 +72,26 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(2, 400.0, 0.1)  # 8001^2 > 1e7 nodes
 
 
+def test_field_checks_refuse_shape_and_non_finite_values():
+    g = build_grid(2, 1.0, 0.25)  # 9^2 nodes
+    with pytest.raises(ValueError, match="scalar field shape"):
+        check_scalar_field(np.zeros(g.num_nodes - 1), g)
+    with pytest.raises(ValueError, match="scalar field contains non-finite"):
+        check_scalar_field(np.full(g.num_nodes, np.inf), g)
+    with pytest.raises(ValueError, match="vector field shape"):
+        check_vector_field(np.zeros((g.num_nodes, 1)), g)
+    with pytest.raises(ValueError, match="vector field contains non-finite"):
+        check_vector_field(np.full((g.num_nodes, 2), np.nan), g)
+
+
+def test_generator_refuses_unknown_closure_and_control_shape():
+    g = build_grid(1, 1.0, 0.25)
+    with pytest.raises(ValueError, match="unknown boundary mode"):
+        assemble_generator(g, np.zeros((g.num_nodes, 1)), "reflecting")
+    with pytest.raises(ValueError, match="control shape"):
+        assemble_generator(g, np.zeros((g.num_nodes, 2)))
+
+
 def test_origin_is_node():
     for dim in (1, 2):
         g = build_grid(dim, 2.0, 0.3)

@@ -155,11 +155,22 @@ def test_potential_families():
     assert pb.values(x)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         constant_potential(0.5)
+    with pytest.raises(TypeError, match="value must be a number"):
+        constant_potential(True)  # float() would read it as 1.0
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            power_beta_potential(beta)
     qs = quartic_sine_potential()
     assert qs.values(np.array([[0.0]]))[0] == pytest.approx(2.0)
     ea = exp_abs_potential()
     assert ea.values(np.array([[0.0]]))[0] == pytest.approx(2.0)
     assert ea.values(np.array([[2.0]]))[0] == pytest.approx(1 + np.e**2)
+
+
+def test_drift_of_the_wrong_shape_refused():
+    model = drift_power(1.5, lambda x: np.ones(len(x)))  # (n,) instead of (n, d)
+    with pytest.raises(ValueError, match="drift returned shape"):
+        model.drift_at(np.zeros((3, 1)))
 
 
 def test_tabulated_potential_roundtrip():

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
@@ -289,6 +290,33 @@ def test_failed_certificate_carries_the_master_counters(lp_instance, monkeypatch
     assert caught.value.stats["pricing_rounds"] >= 2
 
 
+def test_infeasible_master_refused(lp_instance):
+    # a negative total mass has no nonnegative measure: HiGHS runs without
+    # error and reports the master infeasible
+    problem = lp_instance[5]
+    b_eq = problem.b_eq.copy()
+    b_eq[-1] = -1.0
+    negative = LPProblem(a_eq=problem.a_eq, b_eq=b_eq, objective=problem.objective,
+                         grid=problem.grid, xi_atoms=problem.xi_atoms)
+    with pytest.raises(LPSolveError, match="LP solve failed: Infeasible") as caught:
+        solve_lp(negative)
+    assert caught.value.stats["message"] == "Infeasible"
+
+
+def test_primal_feasibility_certificate_enforced(lp_instance, monkeypatch):
+    monkeypatch.setattr(measure_lp, "PRIMAL_FEASIBILITY_TOL", -1.0)
+    with pytest.raises(LPSolveError, match="primal feasibility residual"):
+        solve_lp(lp_instance[5])
+
+
+def test_atom_lattice_and_dimension_checked():
+    with pytest.raises(ValueError, match="odd"):
+        uniform_xi_atoms(1.0, 4, 1)
+    g = build_grid(1, 1.0, 0.25)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        assemble_lp(g, np.zeros((3, 2)), pure_power(1.5), quadratic_power_potential(1.5))
+
+
 def test_missing_highs_binding_names_its_directory(tmp_path, monkeypatch):
     name = "scipy.optimize._highspy._core"
     monkeypatch.delitem(sys.modules, name)
@@ -326,8 +354,6 @@ def test_objective_shift_moves_value_exactly(lp_instance):
 
 def test_point_mass_violation(lp_instance):
     g, _, _, _, atoms, problem, _, _ = lp_instance
-    from scipy import sparse
-
     node = g.origin_id
     atom = int(np.argmin(np.abs(atoms[:, 0] - 1.0)))
     w = sparse.csr_matrix(([1.0], ([node], [atom])), shape=(g.num_nodes, atoms.shape[0]))
@@ -451,7 +477,16 @@ def test_xi_refinement_monotone(lp_instance):
 
 
 def test_measure_problem_mismatch_rejected(lp_instance):
-    g, _, _, _, atoms, problem, measure, _ = lp_instance
+    g, _, _, sol, atoms, problem, measure, _ = lp_instance
     other = GridMeasure(weights=measure.weights, xi_atoms=atoms * 2.0, grid=g)
     with pytest.raises(ValueError):
         feasibility_violation(other, problem)
+    coarse = build_grid(1, 4.0, 0.2)
+    elsewhere = GridMeasure(weights=sparse.csr_matrix((coarse.num_nodes, atoms.shape[0])),
+                            xi_atoms=atoms, grid=coarse)
+    with pytest.raises(ValueError, match="measure and problem grids differ"):
+        feasibility_violation(elsewhere, problem)
+    with pytest.raises(ValueError, match="measure and solution grids differ"):
+        excess_cost_identity(elsewhere, sol)
+    with pytest.raises(ValueError, match="measure and solution grids differ"):
+        minimizer_control_distance(elsewhere, sol)
