@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .grid import Grid, check_vector_field
 from .hamiltonian import HamiltonianModel, PotentialSpec, running_cost
@@ -78,7 +77,7 @@ def _null_vector(grid: Grid, A, solver: BorderedSolver) -> np.ndarray:
         rho_int = solver.solve(grid, A, e_mass / hd, ADJOINT_TOL, trans="T")[:nint]
     except RuntimeError as exc:
         raise ReducibleChainError(f"adjoint solve failed: {exc}") from exc
-    resid = np.abs(A.T @ rho_int).max() / max(np.abs(rho_int).max(), 1.0)
+    resid = np.abs(A.rmatvec(rho_int)).max() / max(np.abs(rho_int).max(), 1.0)
     if resid > ADJOINT_TOL:
         raise ReducibleChainError(
             f"adjoint residual {resid:.3e} exceeds {ADJOINT_TOL:.1e}; "
@@ -98,15 +97,24 @@ def _null_vector(grid: Grid, A, solver: BorderedSolver) -> np.ndarray:
 
 @dataclass
 class GridMeasure:
-    """Nonnegative weights on (x-node, control-atom) pairs with total mass 1."""
+    """Nonnegative weights on (x-node, control-atom) pairs with total mass 1,
+    held as the triples (``node``, ``atom``, ``mass``) of its support, sorted
+    by node and then atom, each pair once."""
 
-    weights: sparse.csr_matrix  # (num_nodes, num_atoms)
+    node: np.ndarray  # (support,) node ids
+    atom: np.ndarray  # (support,) rows of xi_atoms
+    mass: np.ndarray  # (support,)
     xi_atoms: np.ndarray  # (num_atoms, d)
     grid: Grid
     info: Optional[dict] = None
 
     def x_marginal(self) -> np.ndarray:
-        return np.asarray(self.weights.sum(axis=1)).ravel()
+        """Mass per node, each node's triples summed in their order as
+        scipy's row sums do (first entry, then the rest)."""
+        out = np.zeros(self.grid.num_nodes)
+        first = np.flatnonzero(np.diff(self.node, prepend=-1))
+        out[self.node[first]] = np.add.reduceat(self.mass, first)
+        return out
 
 
 def pair_measure(
@@ -126,12 +134,8 @@ def pair_measure(
     for axis in range(grid.dim):
         dist2 += np.square(control[support, axis, None] - xi_atoms[:, axis])
     nearest = dist2.argmin(axis=1)
-    hd = grid.spacing**grid.dim
-    weights = sparse.csr_matrix(
-        (density.rho[support] * hd, (support, nearest)),
-        shape=(grid.num_nodes, xi_atoms.shape[0]),
-    )
-    return GridMeasure(weights=weights, xi_atoms=xi_atoms, grid=grid)
+    mass = density.rho[support] * grid.spacing**grid.dim
+    return GridMeasure(support, nearest, mass, xi_atoms=xi_atoms, grid=grid)
 
 
 def average_cost(

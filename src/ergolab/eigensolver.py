@@ -226,9 +226,11 @@ def _coarse_level(
     level releases its factor, whether solved here or handed in, before the
     finer grid makes its own.
 
-    A pinned wall keeps the zero-control start: there policy iteration has
-    more than one fixed point, and the start picks one (2d, R=3, h=0.05:
-    lambda 6.1090 from the zero control, 6.1521 from the coarse start)."""
+    A pinned wall keeps the zero-control start.  It was kept because the
+    start once picked one of several fixed points there (2d, R=3, h=0.05:
+    lambda 6.1090 from the zero control, 6.1521 from the coarse start); now
+    the zero start gives 6.1521041789 too, and the coarse start agrees with
+    it to 1.5e-10."""
     half = axis_half_width(grid.radius, 2.0 * grid.spacing)
     if opts.boundary_mode != STATE_CONSTRAINT or (2 * half + 1) ** grid.dim < COARSE_MIN_NODES:
         return None

@@ -10,11 +10,12 @@ LP method (HiGHS, driven through the ``_Highs`` object that scipy ships)
 and shares no linear-algebra path with policy iteration.
 
 HiGHS is reached through scipy's binding ``scipy.optimize._highspy._core``
-alone, loaded from its extension file by ``_load_highs_core``.  A plain
-import of it would first run the ``scipy.optimize`` package init, which
-loads linprog, minimize, ``scipy.special``, ``scipy.fft`` and
+alone, loaded from its extension file by ``operators.load_extension``.  A
+plain import of it would first run the ``scipy.optimize`` package init,
+which loads linprog, minimize, ``scipy.special``, ``scipy.fft`` and
 ``scipy.spatial``: about 80 ms and 13 MiB in every process that imports
-ergolab, including those that never solve an LP.
+ergolab, including those that never solve an LP.  The program's matrix is
+plain CSC arrays, so ``scipy.sparse`` is not imported either.
 
 The program is solved by column generation.  At the optimum almost every
 (node, atom) column carries no mass, so HiGHS only ever sees a restricted
@@ -23,7 +24,7 @@ node, the zero atom (the first one, if the lattice repeats it), which alone
 is feasible, since it gives the pure-diffusion measure.  The seed never
 looks at the policy iteration control, so the LP stays an independent
 route.  After each master solve, the reduced costs c - A^T y of all N*K
-columns are priced in one sparse product with the master's equality duals
+columns are priced in one product with the master's equality duals
 y, and every node whose best inactive atom prices below -1e-9 gets that
 atom.  The loop stops when no inactive column prices below -1e-9; each
 round adds a column, so it ends.  The certificates are then taken on the
@@ -40,15 +41,9 @@ column.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
-from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy import sparse
 
 from .density import GridMeasure, pair_measure, stationary_density
 from .eigensolver import ErgodicSolution
@@ -59,34 +54,9 @@ from .hamiltonian import (
     lagrangian_value,
     running_cost,
 )
-from .operators import assemble_generator
+from .operators import Compressed, assemble_generator, load_extension
 
-
-def _load_highs_core():
-    """scipy's HiGHS binding ``scipy.optimize._highspy._core``, loaded from its
-    extension file without running the ``scipy.optimize`` package init.
-
-    The module is registered under its own name, so a later ``import
-    scipy.optimize`` shares this module object and pybind11 registers its
-    types once; a module already imported is reused.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    where = str(Path(scipy.__file__).parent / "optimize" / "_highspy")
-    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no HiGHS binding _core in {where}", name=name, path=where)
-    sys.modules[name] = module = module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-highs = _load_highs_core()
+highs = load_extension("scipy.optimize._highspy._core", "HiGHS binding")
 
 PRIMAL_FEASIBILITY_TOL = 1e-9
 COMPLEMENTARITY_TOL = 1e-8
@@ -106,7 +76,7 @@ class LPSolveError(RuntimeError):
 
 @dataclass
 class LPProblem:
-    a_eq: sparse.csc_matrix  # (num_interior + 1, num_nodes * num_atoms)
+    a_eq: Compressed  # CSC, (num_interior + 1, num_nodes * num_atoms)
     b_eq: np.ndarray
     objective: np.ndarray  # running cost per (node, atom), node-major
     grid: Grid
@@ -153,7 +123,8 @@ def assemble_lp(
     nvar = grid.num_nodes * K
     # generator row i * K + j is interior node i under atom j: the invariance
     # part of column interior_ids[i] * K + j, which the mass row's 1 closes;
-    # a boundary node's columns hold that 1 alone
+    # a boundary node's columns hold that 1 alone, and their other slots are
+    # holes at the mass row
     pairs = np.repeat(np.arange(nint), K)
     A, _ = assemble_generator(grid, np.tile(xi_atoms, (nint, 1)), nodes=pairs)
     var = (grid.interior_ids[:, None] * K + np.arange(K)).ravel()
@@ -166,7 +137,11 @@ def assemble_lp(
     data = np.ones(indptr[-1])
     at = np.arange(A.nnz, dtype=np.int32) + np.repeat(indptr[var] - A.indptr[:-1], lengths)
     indices[at], data[at] = A.indices, A.data
-    a_eq = sparse.csc_matrix((data, indices, indptr), shape=(nint + 1, nvar))
+    slot_index = np.full((A.slot_index.shape[0] + 1, nvar), nint)
+    slot_data = np.zeros(slot_index.shape)
+    slot_index[:-1, var], slot_data[:-1, var] = A.slot_index, A.slot_data
+    slot_data[-1] = 1.0
+    a_eq = Compressed(indptr, indices, data, (nint + 1, nvar), True, slot_index, slot_data)
     b_eq = np.zeros(nint + 1)
     b_eq[-1] = 1.0
 
@@ -208,13 +183,15 @@ class _Master:
 
     def add(self, ids: np.ndarray) -> None:
         """Add the columns ``ids`` of the full program at 0."""
-        block = self.problem.a_eq[:, ids]
-        block.sort_indices()
+        a_eq = self.problem.a_eq
+        lengths = a_eq.indptr[ids + 1] - a_eq.indptr[ids]
+        starts = np.zeros(ids.size, dtype=np.int32)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        at = np.arange(lengths.sum()) + np.repeat(a_eq.indptr[ids] - starts, lengths)
         _ok(
             self.highs.addCols(
                 ids.size, self.problem.objective[ids], np.zeros(ids.size),
-                np.full(ids.size, np.inf), block.nnz, block.indptr[:-1].astype(np.int32),
-                block.indices.astype(np.int32), block.data,
+                np.full(ids.size, np.inf), at.size, starts, a_eq.indices[at], a_eq.data[at],
             ),
             "addCols",
         )
@@ -273,9 +250,10 @@ def solve_lp(problem: LPProblem) -> tuple[GridMeasure, float]:
     except LPSolveError as exc:
         exc.stats = master.stats()
         raise
-    N, K = problem.grid.num_nodes, problem.num_atoms
+    support = np.flatnonzero(mu)
     measure = GridMeasure(
-        weights=sparse.csr_matrix(mu.reshape(N, K)),
+        *np.divmod(support, problem.num_atoms),
+        mu[support],
         xi_atoms=problem.xi_atoms,
         grid=problem.grid,
         info={**certificates, "stats": master.stats()},
@@ -295,7 +273,7 @@ def _generate_columns(master: _Master) -> tuple[np.ndarray, dict]:
     master.add(np.flatnonzero(active))
     while True:
         x, duals = master.solve()
-        reduced = problem.objective - problem.a_eq.T @ duals
+        reduced = problem.objective - problem.a_eq.rmatvec(duals)
         pricing = np.where(active, np.inf, reduced.reshape(N, K))
         best = pricing.argmin(axis=1)
         enter = pricing[np.arange(N), best] < -PRICING_TOL
@@ -306,7 +284,7 @@ def _generate_columns(master: _Master) -> tuple[np.ndarray, dict]:
 
     mu = np.zeros(N * K)
     mu[master.ids] = x
-    primal = np.abs(problem.a_eq @ mu - problem.b_eq).max()
+    primal = np.abs(problem.a_eq.matvec(mu) - problem.b_eq).max()
     if primal > PRIMAL_FEASIBILITY_TOL:
         raise LPSolveError(f"primal feasibility residual {primal:.3e} > 1e-9")
     comp = np.abs(mu * reduced).max()
@@ -331,13 +309,15 @@ def _measure_vector(measure: GridMeasure, problem: LPProblem) -> np.ndarray:
         measure.xi_atoms, problem.xi_atoms
     ):
         raise ValueError("measure and problem control atoms differ")
-    return measure.weights.toarray().ravel()
+    mu = np.zeros(problem.objective.size)
+    mu[measure.node * problem.num_atoms + measure.atom] = measure.mass
+    return mu
 
 
 def feasibility_violation(measure: GridMeasure, problem: LPProblem) -> float:
     """Max absolute equality-row violation of a measure against the program."""
     mu = _measure_vector(measure, problem)
-    return float(np.abs(problem.a_eq @ mu - problem.b_eq).max())
+    return float(np.abs(problem.a_eq.matvec(mu) - problem.b_eq).max())
 
 
 def random_feasible_measure(
@@ -378,10 +358,7 @@ def excess_cost_identity(measure: GridMeasure, solution: ErgodicSolution) -> tup
     coords = grid.coords
     fvals = solution.potential.on_grid(grid)
 
-    coo = measure.weights.tocoo()
-    x_ids = coo.row
-    xi = measure.xi_atoms[coo.col]
-    w = coo.data
+    x_ids, xi, w = measure.node, measure.xi_atoms[measure.atom], measure.mass
     cost = fvals[x_ids] + lagrangian_value(model, coords[x_ids], xi)
     lhs = float(np.sum(cost * w) - lam * w.sum())
 
@@ -393,7 +370,7 @@ def excess_cost_identity(measure: GridMeasure, solution: ErgodicSolution) -> tup
         grid, np.concatenate([xi[inner], xi_u]),
         nodes=np.concatenate([local, np.arange(grid.num_interior)]),
     )
-    au = rows @ solution.u[ids]
+    au = rows.matvec(solution.u[ids])
     own = fvals[ids] + lagrangian_value(model, coords[ids], xi_u) - lam - au[inner.size:]
     # boundary pairs never enter an invariance row; their raw excess is exact
     gap = cost - lam
@@ -405,8 +382,9 @@ def excess_cost_identity(measure: GridMeasure, solution: ErgodicSolution) -> tup
 def barycenter_control(measure: GridMeasure) -> np.ndarray:
     """Conditional mean control per node; zero where the node carries no mass."""
     mass = measure.x_marginal()
-    num = measure.weights @ measure.xi_atoms
-    out = np.zeros((measure.grid.num_nodes, measure.grid.dim))
+    num = np.zeros((measure.grid.num_nodes, measure.grid.dim))
+    np.add.at(num, measure.node, measure.mass[:, None] * measure.xi_atoms[measure.atom])
+    out = np.zeros_like(num)
     has = mass > 0
     out[has] = num[has] / mass[has, None]
     return out

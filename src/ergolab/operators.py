@@ -37,21 +37,109 @@ control moves little, so one factor serves several evaluations and then the
 density's transposed solve.  A caller that holds a nearby solution, such as
 the previous policy evaluation, hands it in as the held factor's first
 iterate.
+
+``scipy.sparse`` is never imported (its init and that of its ``linalg``
+took about 85 ms of every process start): the rows are plain arrays
+(``Compressed``), and SuperLU is scipy's binding ``_superlu``, loaded from
+its extension file alone by ``load_extension``, as HiGHS is.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
+from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+import scipy
 
 from .grid import Grid
+
+
+def load_extension(name: str, what: str):
+    """The scipy extension module ``name`` (``what``, in errors), loaded from
+    its extension file without running the init of the packages above it.
+    It is registered under its own name, so a later import of its package
+    shares this module object; a module already imported is reused, and a
+    file that fails to load leaves no entry behind."""
+    if name in sys.modules:
+        return sys.modules[name]
+    package, _, tail = name.rpartition(".")
+    where = str(Path(scipy.__file__).parent.joinpath(*package.split(".")[1:]))
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {what} {tail} in {where}", name=name, path=where)
+    sys.modules[name] = module = module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+superlu = load_extension("scipy.sparse.linalg._dsolve._superlu", "SuperLU binding")
+# the options ``splu(S, permc_spec="NATURAL")`` hands to ``gstrf``
+NATURAL_ORDER = dict(
+    DiagPivotThresh=None, ColPerm="NATURAL", PanelSize=None, Relax=None, SymmetricMode=True
+)
 
 STATE_CONSTRAINT = "state_constraint"
 DIRICHLET_BIG = "dirichlet_big"
 DIRICHLET_VALUE = 1e6  # the pinned boundary value M of ``dirichlet_big``
+
+
+@dataclass(frozen=True)
+class Compressed:
+    """A sparse matrix of ``shape`` as compressed arrays: line k, a row of
+    CSR arrays or a column of CSC ones (``csc``), holds ``indices`` and
+    ``data`` at ``indptr[k]:indptr[k + 1]``, indices increasing; and the same
+    lines as (slots, lines) arrays, slot s holding each line's s-th entry or
+    a hole of weight 0 at some valid index.
+
+    ``matvec`` and ``rmatvec`` (A @ x, A.T @ y) sum each output from zero in
+    storage order, as scipy's products do, so the bits are scipy's: a line's
+    own sum runs a slot at a time (a hole adds an exact zero for finite x)
+    and the other product is one ``np.bincount``.  Like scipy's C loops they
+    never warn, so an overflowing iterate reaches a residual check as inf or
+    NaN."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    csc: bool
+    slot_index: np.ndarray
+    slot_data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._scatter(x) if self.csc else self._line_sums(x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self._line_sums(y) if self.csc else self._scatter(y)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _line_sums(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.slot_index.shape[1])
+        for index, data in zip(self.slot_index, self.slot_data):
+            term = x.take(index)
+            term *= data
+            out += term
+        return out
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _scatter(self, y: np.ndarray) -> np.ndarray:
+        terms = np.repeat(y, np.diff(self.indptr))
+        terms *= self.data
+        size = self.shape[0] if self.csc else self.shape[1]
+        return np.bincount(self.indices, weights=terms, minlength=size)
 
 
 def assemble_generator(
@@ -59,7 +147,7 @@ def assemble_generator(
     control: np.ndarray,
     boundary_mode: str = STATE_CONSTRAINT,
     nodes: np.ndarray | None = None,
-) -> tuple[sparse.csr_matrix, np.ndarray]:
+) -> tuple[Compressed, np.ndarray]:
     """Rows of the scheme -Lap + xi . D (upwind) at (node, drift) pairs.
 
     Row k is interior node ``nodes[k]`` (an interior-local id) under the
@@ -74,9 +162,10 @@ def assemble_generator(
         nodes: interior-local ids, by default ``range(N_int)``.
 
     Returns:
-        (A, rhs) with A of shape (len(nodes), N_int) acting on interior values
-        and rhs the boundary contribution to move to the right-hand side (zero
-        in state-constraint mode).
+        (A, rhs) with A the CSR ``Compressed`` of shape (len(nodes), N_int),
+        acting on interior values, a missing leg's slot pointing at the row's
+        own node; and rhs the boundary contribution to move to the
+        right-hand side (zero in state-constraint mode).
 
     Warns when the inward coefficient of a state-constrained wall row is not
     negative, that is when an outward drift reached 1/h there: the row is
@@ -105,12 +194,12 @@ def assemble_generator(
     inv_h2 = np.rint(inv_h2 / q) * q
     speed = np.rint(np.abs(control) / h / q[:, None]) * q[:, None]
 
-    # slot (a, -1) is column a, the diagonal column d and slot (a, +1) column
-    # 2d - a, which orders each row's columns by interior-local id; a slot
+    # slot (a, -1) is row a, the diagonal row d and slot (a, +1) row 2d - a,
+    # which orders each scheme row's columns by interior-local id; a slot
     # whose neighbor is a boundary node holds -1 and is left out
-    cols = np.empty((len(nodes), 2 * d + 1), dtype=np.int32)
+    cols = np.empty((2 * d + 1, len(nodes)), dtype=np.intp)
     vals = np.zeros(cols.shape)
-    cols[:, d] = nodes
+    cols[d] = nodes
     rhs = np.zeros(len(nodes))
     dirichlet = boundary_mode == DIRICHLET_BIG
     monotone = True
@@ -123,8 +212,8 @@ def assemble_generator(
             slot, inward = (a, 2 * d - a) if s < 0 else (2 * d - a, a)
             out = neighbors[s] < 0
             coef = inv_h2 + np.where(upwind_side == s, speed[:, a], 0.0)
-            cols[:, slot] = neighbors[s]
-            vals[:, slot] -= coef
+            cols[slot] = neighbors[s]
+            vals[slot] -= coef
             if dirichlet:
                 rhs[out] += coef[out] * DIRICHLET_VALUE
                 continue
@@ -132,7 +221,7 @@ def assemble_generator(
             # inward difference on the opposite side, sign-reversed, and the
             # inward coefficient becomes -1/h^2 + |w|/h
             wall = out & (upwind_side == s) & (neighbors[-s] >= 0)
-            vals[wall, inward] += speed[wall, a]
+            vals[inward, wall] += speed[wall, a]
             monotone &= bool((speed[wall, a] < inv_h2[wall]).all())
     if not monotone:
         warnings.warn(
@@ -140,17 +229,18 @@ def assemble_generator(
             "loses monotonicity on this grid",
             stacklevel=2,
         )
-    present = cols >= 0
+    hole = cols < 0
     if not dirichlet:
-        vals[~present] = 0.0  # the diffusion legs into the wall
+        vals[hole] = 0.0  # the diffusion legs into the wall
     # the diagonal balances the row's legs, those to a pinned wall included
     # (their value is in rhs), and is exact since every partial sum is
-    vals[:, d] = -vals.sum(axis=1)
+    vals[d] = -vals.sum(axis=0)
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    A = sparse.csr_matrix(
-        (vals[present], cols[present], indptr), shape=(len(nodes), grid.num_interior)
-    )
+    np.cumsum(d * 2 + 1 - hole.sum(axis=0), out=indptr[1:])
+    data, indices = vals.T[~hole.T], cols.T[~hole.T]  # row by row
+    vals[hole] = 0.0
+    cols[hole] = np.broadcast_to(cols[d], cols.shape)[hole]
+    A = Compressed(indptr, indices, data, (len(nodes), grid.num_interior), False, cols, vals)
     return A, rhs
 
 
@@ -172,7 +262,7 @@ class BorderedSolver:
     _CUT = 10.0  # a held factor is kept while every step gains a digit
 
     def __init__(self):
-        self._lu: SuperLU | None = None
+        self._lu = None  # the held ``superlu.SuperLU`` factor
         self._order: np.ndarray | None = None  # factor row/column k is unknown _order[k]
         self.reused = False  # the last solve was served by a held factor
         self.residual = float("nan")  # relative residual of the last solve
@@ -184,7 +274,7 @@ class BorderedSolver:
     def solve(
         self,
         grid: Grid,
-        A: sparse.spmatrix,
+        A: Compressed,
         b: np.ndarray,
         tol: float,
         trans: str = "N",
@@ -205,8 +295,8 @@ class BorderedSolver:
 
         def product(x: np.ndarray) -> np.ndarray:  # the system (or its transpose) times x
             if trans == "N":
-                return np.append(A @ x[:nint] + x[nint], x[origin])
-            top = A.T @ x[:nint]
+                return np.append(A.matvec(x[:nint]) + x[nint], x[origin])
+            top = A.rmatvec(x[:nint])
             top[origin] += x[nint]
             return np.append(top, x[:nint].sum())
 
@@ -220,7 +310,7 @@ class BorderedSolver:
             self.reused = bool(self.residual <= tol)
             if self.reused:
                 return x
-            self.drop()  # before splu allocates: never two factors at once
+            self.drop()  # before gstrf allocates: never two factors at once
         # the bordered matrix is built only to be factored, so a solve served
         # by the held factor adds nothing to the peak memory of the factor;
         # its entry (i, j) goes to (rank[i], rank[j]), the symmetric
@@ -228,16 +318,20 @@ class BorderedSolver:
         order = np.append(grid.dissection_order, nint)
         rank = np.empty_like(order)
         rank[order] = np.arange(nint + 1)
-        coo = A.tocoo()  # then the border column of ones and the norm row
-        rows = np.concatenate([rank[coo.row], rank[:nint], [nint]])
-        cols = np.concatenate([rank[coo.col], np.full(nint, nint), [rank[origin]]])
-        vals = np.concatenate([coo.data, np.ones(nint + 1)])
-        del coo
-        system = sparse.csc_matrix((vals, (rows, cols)), shape=(nint + 1, nint + 1))
-        del rows, cols, vals
-        self._lu = splu(system, permc_spec="NATURAL")
+        # A's entries, the border column of ones and the norm row, then sorted
+        # into CSC order; no two entries share a position
+        rows = np.concatenate([np.repeat(rank[:nint], np.diff(A.indptr)), rank[:nint], [nint]])
+        cols = np.concatenate([rank[A.indices], np.full(nint, nint), [rank[origin]]])
+        vals = np.concatenate([A.data, np.ones(nint + 1)])
+        entry = np.argsort(cols * (nint + 1) + rows)
+        indptr = np.zeros(nint + 2, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=nint + 1), out=indptr[1:])
+        indices, data = rows[entry].astype(np.intc), vals[entry]
+        del rows, cols, vals, entry
+        self._lu = superlu.gstrf(nint + 1, data.size, data, indices, indptr,
+                                 csc_construct_func=None, ilu=False, options=NATURAL_ORDER)
         self._order = order
-        del system
+        del data, indices, indptr
         self.factorizations += 1
         self.reused = False
         # on fine 2d grids the direct solve alone can miss the tolerance by a

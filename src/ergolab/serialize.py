@@ -64,13 +64,12 @@ def write_measure_csv(path: Path, measure) -> None:
     header = [f"x{a}" for a in range(grid.dim)]
     header += [f"xi{a}" for a in range(grid.dim)]
     header += ["weight"]
-    coo = measure.weights.tocoo()
-    keep = coo.data > MEASURE_FLOOR
+    keep = measure.mass > MEASURE_FLOOR
     rows = np.hstack(
         [
-            grid.coords[coo.row[keep]],
-            measure.xi_atoms[coo.col[keep]],
-            coo.data[keep][:, None],
+            grid.coords[measure.node[keep]],
+            measure.xi_atoms[measure.atom[keep]],
+            measure.mass[keep][:, None],
         ]
     )
     order = np.lexsort(rows.T[::-1])

@@ -10,7 +10,7 @@ from scipy import sparse
 from ergolab.density import DensityField, GridMeasure
 from ergolab.grid import Grid, _axis_slab, _differences, check_scalar_field, check_vector_field
 from ergolab.hamiltonian import HamiltonianModel, PotentialSpec, running_cost
-from ergolab.operators import assemble_generator
+from ergolab.operators import Compressed, assemble_generator
 from ergolab.simulate import simulate_average
 
 PATH_ARRAYS = (
@@ -45,6 +45,39 @@ def upwind_pairing(xi: np.ndarray, dminus: np.ndarray, dplus: np.ndarray) -> np.
     return np.sum(xi * np.where(xi > 0, dminus, dplus), axis=1)
 
 
+def as_scipy(matrix: Compressed):
+    """A ``Compressed`` matrix as a scipy CSR or CSC matrix over the same
+    arrays."""
+    kind = sparse.csc_matrix if matrix.csc else sparse.csr_matrix
+    return kind((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+def as_compressed(matrix) -> Compressed:
+    """A scipy matrix as CSR ``Compressed`` rows, each row padded to the
+    longest with holes at column 0."""
+    m = sparse.csr_matrix(matrix)
+    m.sort_indices()
+    lengths = np.diff(m.indptr)
+    filled = np.arange(lengths.max()) < lengths[:, None]
+    index, data = np.zeros(filled.shape, dtype=np.intp), np.zeros(filled.shape)
+    index[filled], data[filled] = m.indices, m.data
+    return Compressed(m.indptr, m.indices, m.data, m.shape, False, index.T.copy(), data.T.copy())
+
+
+def as_weights(measure: GridMeasure) -> sparse.csr_matrix:
+    """A measure's weights as a scipy (num_nodes, num_atoms) CSR matrix."""
+    return sparse.csr_matrix(
+        (measure.mass, (measure.node, measure.atom)),
+        shape=(measure.grid.num_nodes, measure.xi_atoms.shape[0]),
+    )
+
+
+def as_measure(weights, xi_atoms: np.ndarray, grid: Grid) -> GridMeasure:
+    """The measure of a scipy (num_nodes, num_atoms) matrix of weights."""
+    coo = sparse.csr_matrix(weights).tocoo()
+    return GridMeasure(coo.row, coo.col, coo.data, xi_atoms=xi_atoms, grid=grid)
+
+
 def per_atom_program(
     grid: Grid, xi_atoms: np.ndarray, model: HamiltonianModel, potential: PotentialSpec
 ) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -57,7 +90,7 @@ def per_atom_program(
     objective = np.empty(nvar)
     for j, atom in enumerate(xi_atoms):
         A, _ = assemble_generator(grid, np.tile(atom, (grid.num_interior, 1)))
-        coo = A.tocoo()
+        coo = as_scipy(A).tocoo()
         rows.append(coo.col)
         cols.append(grid.interior_ids[coo.row] * K + j)
         vals.append(coo.data)
@@ -94,11 +127,8 @@ def exact_pair_measure(density: DensityField, control: np.ndarray) -> GridMeasur
     support = np.flatnonzero(density.rho > 0)
     atoms = control[support]
     hd = grid.spacing**grid.dim
-    weights = sparse.csr_matrix(
-        (density.rho[support] * hd, (support, np.arange(support.size))),
-        shape=(grid.num_nodes, support.size),
-    )
-    return GridMeasure(weights=weights, xi_atoms=atoms, grid=grid)
+    return GridMeasure(support, np.arange(support.size), density.rho[support] * hd,
+                       xi_atoms=atoms, grid=grid)
 
 
 def tabulated_potential(grid: Grid, values: np.ndarray) -> PotentialSpec:

@@ -815,7 +815,10 @@ def test_refine_stage_declares_its_convergence(tmp_path, monkeypatch):
 
 def test_refine_stage_solves_no_level_twice(tmp_path, monkeypatch):
     # the h/2 grid is solved once in the whole run, by the refine stage, which
-    # leaves the solve stage's factor in place and releases its own
+    # releases its own factor; the solve stage's factor stays in place only
+    # because these 1d grids are too small for a coarse level (the h grid's 81
+    # nodes are below COARSE_MIN_NODES): an h/2 grid with a coarse level takes
+    # the solve stage's solution as that level and releases its factor
     evaluate = ergolab.eigensolver.policy_evaluation
     refine = STAGES["refine"]
     evaluated, fills = [], []

@@ -28,7 +28,7 @@ from ergolab.hamiltonian import (
     quadratic_power_potential,
 )
 from ergolab.operators import BorderedSolver
-from oracles import tabulated_potential
+from oracles import as_scipy, tabulated_potential
 
 
 def solve_scaled_instance(solution, model, potential, scale, opts=SolverOptions()):
@@ -434,7 +434,7 @@ def _colamd_factor(grid, A):
     nint = grid.num_interior
     origin = grid.interior_index[grid.origin_id]
     row = sparse.coo_matrix(([1.0], ([0], [origin])), shape=(1, nint))
-    system = sparse.bmat([[A, np.ones((nint, 1))], [row, None]], format="csc")
+    system = sparse.bmat([[as_scipy(A), np.ones((nint, 1))], [row, None]], format="csc")
     return splu(system, permc_spec="COLAMD")
 
 

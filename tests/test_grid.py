@@ -12,7 +12,7 @@ from ergolab.grid import (
     laplacian,
 )
 from ergolab.operators import assemble_generator
-from oracles import gradient_central, one_sided_differences, upwind_pairing
+from oracles import as_scipy, gradient_central, one_sided_differences, upwind_pairing
 
 
 def advect_upwind(values, drift, grid):
@@ -52,7 +52,7 @@ def test_build_grid_2d_minimal_interior():
     assert np.allclose(g.coords[g.interior_ids[0]], [0.0, 0.0])
     assert g.interior_ids[0] == g.origin_id
     # both neighbors along each axis are walls, so no leg has anywhere to go
-    A, _ = assemble_generator(g, np.array([[0.5, -0.5]]))
+    A = as_scipy(assemble_generator(g, np.array([[0.5, -0.5]]))[0])
     assert A.toarray().tolist() == [[0.0]]
 
 
@@ -162,7 +162,7 @@ def test_generator_monotone_and_conservative(dim):
     rng = np.random.default_rng(2)
     ctrl = np.clip(rng.normal(scale=1.5, size=(g.num_nodes, dim)), -3.5, 3.5)
     A, rhs = assemble_generator(g, ctrl, "state_constraint")
-    dense = A.toarray()
+    dense = as_scipy(A).toarray()
     off = dense - np.diag(np.diag(dense))
     assert off.max() <= 1e-14
     assert np.allclose(dense.sum(axis=1), 0.0, atol=1e-10)
@@ -171,7 +171,7 @@ def test_generator_monotone_and_conservative(dim):
     # the pinned-boundary stencils never clip, so any drift stays monotone
     wild = rng.normal(scale=30.0, size=(g.num_nodes, dim))
     A2, rhs2 = assemble_generator(g, wild, "dirichlet_big")
-    dense2 = A2.toarray()
+    dense2 = as_scipy(A2).toarray()
     off2 = dense2 - np.diag(np.diag(dense2))
     assert off2.max() <= 1e-14
     # rows coupled to the pinned boundary have positive sums once that
@@ -188,7 +188,7 @@ def test_generator_rows_sum_to_exactly_zero(dim, radius, spacing):
     # row sums shows up in its adjoint residual
     g = build_grid(dim, radius, spacing)
     ctrl = np.random.default_rng(4).normal(scale=10.0, size=(g.num_nodes, dim))
-    A, _ = assemble_generator(g, ctrl)
+    A = as_scipy(assemble_generator(g, ctrl)[0])
     # wall legs: next to a wall, the drift -ctrl heads for it
     x, w = g.coords[g.interior_ids], ctrl[g.interior_ids]
     assert ((np.abs(x) > g.wall - 1.5 * spacing) & (w * x < 0)).any()
@@ -203,13 +203,13 @@ def test_generator_rows_at_pairs_sum_to_exactly_zero():
     drifts = np.array([[0.0], [3.0], [-3.0]])
     nodes = np.repeat(np.arange(g.num_interior), 3)
     with pytest.warns(UserWarning, match="reached 1/h"):  # 3 > 1/h at the walls
-        A, _ = assemble_generator(g, np.tile(drifts, (g.num_interior, 1)), nodes=nodes)
+        A = as_scipy(assemble_generator(g, np.tile(drifts, (g.num_interior, 1)), nodes=nodes)[0])
     assert A.shape == (3 * g.num_interior, g.num_interior)
     assert np.all(A @ np.ones(g.num_interior) == 0.0)
     # each row is the one the whole-grid assembly writes under its drift
     for j, drift in enumerate(drifts):
         with pytest.warns(UserWarning, match="reached 1/h") if j else nullcontext():
-            whole, _ = assemble_generator(g, np.tile(drift, (g.num_interior, 1)))
+            whole = as_scipy(assemble_generator(g, np.tile(drift, (g.num_interior, 1)))[0])
         assert (A[j::3] != whole).nnz == 0
 
 
@@ -224,7 +224,7 @@ def test_generator_rows_match_stencil_functions(dim):
     ctrl = rng.normal(scale=2.0, size=(g.num_nodes, dim))
     # in 2d some wall-adjacent drift points outward faster than 1/h = 4
     with pytest.warns(UserWarning, match="reached 1/h") if dim == 2 else nullcontext():
-        A, _ = assemble_generator(g, ctrl, "state_constraint")
+        A = as_scipy(assemble_generator(g, ctrl, "state_constraint")[0])
     lhs = A @ u[g.interior_ids]
     pairing = upwind_pairing(ctrl, *one_sided_differences(u, g))
     rhs = -laplacian(u, g)[g.interior_ids] + pairing[g.interior_ids]

@@ -7,8 +7,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
-from ergolab import measure_lp
-from ergolab.density import GridMeasure, stationary_density
+from ergolab import measure_lp, operators
+from ergolab.density import stationary_density
 from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import Grid, build_grid
 from ergolab.hamiltonian import (
@@ -30,14 +30,22 @@ from ergolab.measure_lp import (
     solve_lp,
     uniform_xi_atoms,
 )
-from oracles import exact_pair_measure, one_sided_differences, per_atom_program, upwind_pairing
+from oracles import (
+    as_measure,
+    as_scipy,
+    as_weights,
+    exact_pair_measure,
+    one_sided_differences,
+    per_atom_program,
+    upwind_pairing,
+)
 
 
 def full_lp_value(problem: LPProblem) -> float:
     """Oracle: one HiGHS solve over every (node, atom) column."""
     res = linprog(
         problem.objective,
-        A_eq=problem.a_eq,
+        A_eq=as_scipy(problem.a_eq),
         b_eq=problem.b_eq,
         bounds=(0, None),
         method="highs",
@@ -52,7 +60,7 @@ def upwind_gap_integral(measure, solution) -> float:
     boundary pair's raw excess F - lambda, integrated against the measure."""
     g, model = measure.grid, solution.model
     dminus, dplus = one_sided_differences(solution.u, g)
-    coo = measure.weights.tocoo()
+    coo = as_weights(measure).tocoo()
     x, xi, w = coo.row, measure.xi_atoms[coo.col], coo.data
     inner = g.interior_mask[x]
     lvals = lagrangian_value(model, g.coords[x], xi)
@@ -85,9 +93,10 @@ def test_assemble_shape_counting():
     atoms = np.array([[-1.0], [0.0], [1.0]])
     with pytest.warns(UserWarning, match="reached 1/h"):  # |xi| = 1/h at the walls
         problem = assemble_lp(g, atoms, pure_power(1.5), quadratic_power_potential(1.5))
-    assert problem.a_eq.shape == (4, 15)
+    a_eq = as_scipy(problem.a_eq)
+    assert a_eq.shape == (4, 15)
     assert problem.objective.shape == (15,)
-    assert np.allclose(problem.a_eq.toarray()[-1], 1.0)
+    assert np.allclose(a_eq.toarray()[-1], 1.0)
 
 
 @pytest.mark.parametrize(
@@ -138,8 +147,8 @@ def test_lp_certificates_and_cross_check(lp_instance):
     assert measure.info["primal_feasibility"] <= 1e-9
     assert measure.info["complementarity"] <= 1e-8
     assert abs(lam_bar - sol.lam) <= 0.05
-    assert measure.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert measure.weights.toarray().min() >= -1e-12
+    assert as_weights(measure).sum() == pytest.approx(1.0, abs=1e-9)
+    assert as_weights(measure).toarray().min() >= -1e-12
 
 
 def test_constant_potential_lp():
@@ -228,7 +237,7 @@ def test_dual_noise_on_columns_with_mass_accepted(lp_instance, monkeypatch):
 
     def noisy_duals(master):
         x, duals = real_solve(master)
-        col = problem.a_eq[:, master.ids[x.argmax()]].toarray().ravel()
+        col = as_scipy(problem.a_eq)[:, master.ids[x.argmax()]].toarray().ravel()
         return x, duals + 1e-8 * col / (col @ col)
 
     monkeypatch.setattr(measure_lp._Master, "solve", noisy_duals)
@@ -320,10 +329,10 @@ def test_atom_lattice_and_dimension_checked():
 def test_missing_highs_binding_names_its_directory(tmp_path, monkeypatch):
     name = "scipy.optimize._highspy._core"
     monkeypatch.delitem(sys.modules, name)
-    monkeypatch.setattr(measure_lp.scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(operators.scipy, "__file__", str(tmp_path / "__init__.py"))
     where = re.escape(str(tmp_path / "optimize" / "_highspy"))
     with pytest.raises(ImportError, match=f"no HiGHS binding _core in {where}"):
-        measure_lp._load_highs_core()
+        operators.load_extension(name, "HiGHS binding")
     assert name not in sys.modules
 
 
@@ -357,8 +366,8 @@ def test_point_mass_violation(lp_instance):
     node = g.origin_id
     atom = int(np.argmin(np.abs(atoms[:, 0] - 1.0)))
     w = sparse.csr_matrix(([1.0], ([node], [atom])), shape=(g.num_nodes, atoms.shape[0]))
-    mu = GridMeasure(weights=w, xi_atoms=atoms, grid=g)
-    col = problem.a_eq[:-1, node * atoms.shape[0] + atom].toarray().ravel()
+    mu = as_measure(w, atoms, g)
+    col = as_scipy(problem.a_eq)[:-1, node * atoms.shape[0] + atom].toarray().ravel()
     assert feasibility_violation(mu, problem) == pytest.approx(np.abs(col).max())
     assert feasibility_violation(mu, problem) > 0.1
 
@@ -367,8 +376,8 @@ def test_random_measures_deterministic_and_feasible(lp_instance):
     g, _, _, _, atoms, problem, _, _ = lp_instance
     a = random_feasible_measure(g, atoms, 77)
     b = random_feasible_measure(g, atoms, 77)
-    assert (a.weights != b.weights).nnz == 0
-    assert np.array_equal(a.weights.toarray(), b.weights.toarray())
+    assert (as_weights(a) != as_weights(b)).nnz == 0
+    assert np.array_equal(as_weights(a).toarray(), as_weights(b).toarray())
     for seed in range(5):
         mu = random_feasible_measure(g, atoms, seed)
         assert feasibility_violation(mu, problem) <= 1e-9
@@ -382,7 +391,7 @@ def test_single_atom_draw_is_pure_diffusion():
     mu = random_feasible_measure(g, atoms, 5)
     rho = stationary_density(g, np.zeros((g.num_nodes, 1)))
     ref = pair_measure(rho, np.zeros((g.num_nodes, 1)), atoms)
-    assert np.allclose(mu.weights.toarray(), ref.weights.toarray())
+    assert np.allclose(as_weights(mu).toarray(), as_weights(ref).toarray())
 
 
 def test_excess_identity_on_optimal_pair(lp_instance):
@@ -424,7 +433,7 @@ def test_weak_duality(lp_instance):
     g, model, pot, _, atoms, problem, _, lam_bar = lp_instance
     for seed in range(5):
         mu = random_feasible_measure(g, atoms, 4000 + seed)
-        obj = float(mu.weights.toarray().ravel() @ problem.objective)
+        obj = float(as_weights(mu).toarray().ravel() @ problem.objective)
         assert obj >= lam_bar - 1e-9
 
 
@@ -457,12 +466,8 @@ def test_barycenter_projection_never_increases_cost(lp_instance):
     for seed in range(10):
         m1 = random_feasible_measure(g, atoms, 500 + seed)
         m2 = random_feasible_measure(g, atoms, 900 + seed)
-        mix = GridMeasure(
-            weights=(0.5 * (m1.weights + m2.weights)).tocsr(),
-            xi_atoms=atoms,
-            grid=g,
-        )
-        obj_mix = float(mix.weights.toarray().ravel() @ problem.objective)
+        mix = as_measure(0.5 * (as_weights(m1) + as_weights(m2)), atoms, g)
+        obj_mix = float(as_weights(mix).toarray().ravel() @ problem.objective)
         bc = barycenter_control(mix)
         rho_bc = stationary_density(g, bc)
         obj_bc = average_cost(rho_bc, bc, model, pot)
@@ -478,12 +483,11 @@ def test_xi_refinement_monotone(lp_instance):
 
 def test_measure_problem_mismatch_rejected(lp_instance):
     g, _, _, sol, atoms, problem, measure, _ = lp_instance
-    other = GridMeasure(weights=measure.weights, xi_atoms=atoms * 2.0, grid=g)
+    other = as_measure(as_weights(measure), atoms * 2.0, g)
     with pytest.raises(ValueError):
         feasibility_violation(other, problem)
     coarse = build_grid(1, 4.0, 0.2)
-    elsewhere = GridMeasure(weights=sparse.csr_matrix((coarse.num_nodes, atoms.shape[0])),
-                            xi_atoms=atoms, grid=coarse)
+    elsewhere = as_measure(sparse.csr_matrix((coarse.num_nodes, atoms.shape[0])), atoms, coarse)
     with pytest.raises(ValueError, match="measure and problem grids differ"):
         feasibility_violation(elsewhere, problem)
     with pytest.raises(ValueError, match="measure and solution grids differ"):
