@@ -33,10 +33,21 @@ full program.
 One HiGHS instance holds the master for the whole solve, so each round
 re-optimizes from the previous round's basis (the hot start of column
 generation; Lübbecke & Desrosiers, Oper. Res. 53, 2005).  The seed master is
-solved by the interior-point method with crossover and presolve off; each
-later round only adds the entering columns at 0, which keeps the held basis
-primal feasible, and re-solves by primal simplex, about one pivot per added
-column.
+solved by the interior-point method with crossover and presolve off.  Each
+later round adds the entering columns at 0 and then takes a block pivot: at
+every node that gets an entering column and holds a basic column, the
+entering column becomes basic and the old one goes to its bound 0.  A basis
+with one column per interior node (the rows of the scheme sum to zero, so
+one invariance row is redundant and its logical is basic at 0) is a control,
+and its basic solution is that control's stationary density, which is
+positive; so the swapped basis is primal feasible.  The swap is policy
+iteration's improvement step (policy iteration is block-pivoting simplex;
+Puterman, Markov Decision Processes, 1994), taken on the master's own duals:
+the LP reads nothing of the policy iteration solution.  Primal simplex then
+re-optimizes from the swapped basis.  On ``lp_2d``'s program the later
+rounds take no pivots, where re-optimizing from the unswapped basis takes
+one per entering column.  An entering column whose node holds no basic
+column stays nonbasic, and primal simplex pivots it in.
 """
 
 from __future__ import annotations
@@ -166,6 +177,7 @@ class _Master:
         self.ids = np.zeros(0, dtype=np.int64)
         self.round_columns: list[int] = []  # columns added before each solve
         self.round_iterations: list[int] = []  # IPM plus simplex, per solve
+        self.round_block_pivots: list[int] = []  # columns made basic, per round after the seed
         # the last solve's run status, model status and objective value
         self.status = highs.HighsStatus.kOk
         self.message = ""
@@ -198,6 +210,25 @@ class _Master:
         self.ids = np.concatenate([self.ids, ids])
         self.round_columns.append(int(ids.size))
 
+    def block_pivot(self, count: int) -> None:
+        """Make each of the last ``count`` added columns basic in place of
+        its node's basic column, which goes to its lower bound 0.  An added
+        column whose node holds no basic column stays nonbasic."""
+        basis = self.highs.getBasis()
+        status = np.array(basis.col_status, dtype=object)
+        node = self.ids // self.problem.num_atoms
+        holder = np.full(self.problem.grid.num_nodes, -1)
+        basic = np.flatnonzero(status == highs.HighsBasisStatus.kBasic)
+        holder[node[basic]] = basic
+        entering = np.arange(self.ids.size - count, self.ids.size)
+        leaving = holder[node[entering]]
+        swap = leaving >= 0
+        status[leaving[swap]] = highs.HighsBasisStatus.kLower
+        status[entering[swap]] = highs.HighsBasisStatus.kBasic
+        basis.col_status = status.tolist()
+        _ok(self.highs.setBasis(basis), "setBasis")
+        self.round_block_pivots.append(int(swap.sum()))
+
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Re-optimize from the held basis; return the master's column values
         and its equality duals."""
@@ -210,7 +241,7 @@ class _Master:
         info = self.highs.getInfo()
         self.round_iterations.append(info.ipm_iteration_count + info.simplex_iteration_count)
         self.value = info.objective_function_value
-        # columns enter at 0, so the basis held for the next round is primal feasible
+        # later rounds start from the block-pivoted basis, which is primal feasible
         self._options(solver="simplex", simplex_strategy=PRIMAL_SIMPLEX)
         solution = self.highs.getSolution()
         return np.asarray(solution.col_value), np.asarray(solution.row_dual)
@@ -218,7 +249,8 @@ class _Master:
     def stats(self) -> dict:
         """The solve's deterministic counters so far: full and active column
         counts, pricing rounds, per round the columns added (the seed first)
-        and the HiGHS iterations, the iterations' sum, and the last solve's
+        and the HiGHS iterations, the iterations' sum, per round after the
+        seed the columns the block pivot made basic, and the last solve's
         status and model status."""
         return {
             "columns": self.problem.objective.size,
@@ -226,6 +258,7 @@ class _Master:
             "pricing_rounds": len(self.round_iterations),
             "round_columns": self.round_columns,
             "round_iterations": self.round_iterations,
+            "round_block_pivots": self.round_block_pivots,
             "highs_iterations": sum(self.round_iterations),
             "status": int(self.status),
             "message": self.message,
@@ -281,6 +314,7 @@ def _generate_columns(master: _Master) -> tuple[np.ndarray, dict]:
             break
         active[enter, best[enter]] = True
         master.add(np.flatnonzero(enter) * K + best[enter])
+        master.block_pivot(int(enter.sum()))
 
     mu = np.zeros(N * K)
     mu[master.ids] = x

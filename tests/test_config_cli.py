@@ -882,6 +882,10 @@ def test_standalone_scenarios(tmp_path, scenario):
         assert stats["columns"] == 81 * 21
         assert stats["active_columns"] <= stats["columns"]
         assert stats["pricing_rounds"] >= 1 and stats["highs_iterations"] >= 1
+        # the block pivot makes at most each entering column basic, per round after the seed
+        pivots, entering = stats["round_block_pivots"], stats["round_columns"][1:]
+        assert len(pivots) == len(entering) == stats["pricing_rounds"] - 1
+        assert all(0 <= p <= c for p, c in zip(pivots, entering))
         assert set(payload["results"]["lp"]["certificates"]) == {
             "primal_feasibility",
             "complementarity",

@@ -209,6 +209,47 @@ def test_column_generation_matches_full_lp_2d_tied_atoms():
     measure, lam_bar = solve_lp(problem)
     assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
     assert measure.info["dual_feasibility_min"] >= -1e-9
+    # the block pivots make the entering columns basic, so the later rounds
+    # take at most one simplex iteration for ten entering columns
+    stats = measure.info["stats"]
+    assert sum(stats["round_block_pivots"]) == sum(stats["round_columns"][1:]) > 0
+    assert 10 * sum(stats["round_iterations"][1:]) <= sum(stats["round_columns"][1:])
+
+
+def test_nodes_without_a_basic_column_still_reach_the_optimum(monkeypatch):
+    # the basis that the block pivot reads gives half the nodes' invariance
+    # rows their logicals in place of the nodes' basic columns: their
+    # entering columns stay nonbasic and simplex pivots them in
+    g = build_grid(2, 2.0, 0.25)
+    problem = assemble_lp(g, uniform_xi_atoms(1.0, 5, 2), pure_power(1.5),
+                          quadratic_power_potential(1.5))
+    real_pivot = measure_lp._Master.block_pivot
+
+    def halved(master, count):
+        basis = master.highs.getBasis()
+        cols = np.array(basis.col_status, dtype=object)
+        rows = np.array(basis.row_status, dtype=object)
+        basic = np.flatnonzero(cols == highs.HighsBasisStatus.kBasic)
+        row = g.interior_index[master.ids[basic] // problem.num_atoms]
+        half = (row >= 0) & (row % 2 == 0)
+        cols[basic[half]] = highs.HighsBasisStatus.kLower
+        rows[row[half]] = highs.HighsBasisStatus.kBasic
+        basis.col_status, basis.row_status = cols.tolist(), rows.tolist()
+        assert master.highs.setBasis(basis) == highs.HighsStatus.kOk
+        real_pivot(master, count)
+
+    monkeypatch.setattr(measure_lp._Master, "block_pivot", halved)
+    measure, lam_bar = solve_lp(problem)
+    assert abs(lam_bar - full_lp_value(problem)) <= 1e-9
+    stats = measure.info["stats"]
+    assert 0 < stats["round_block_pivots"][0] < stats["round_columns"][1]
+
+
+def test_highs_binding_exposes_the_basis():
+    # the block pivot reads and writes the master's basis through these
+    assert callable(measure_lp.highs._Highs.getBasis)
+    assert callable(measure_lp.highs._Highs.setBasis)
+    assert measure_lp.highs.HighsBasisStatus.kBasic != measure_lp.highs.HighsBasisStatus.kLower
 
 
 def test_dual_certificate_enforced(lp_instance, monkeypatch):
@@ -247,8 +288,9 @@ def test_dual_noise_on_columns_with_mass_accepted(lp_instance, monkeypatch):
 
 
 def _assert_hot_started(problem, monkeypatch):
-    # a round that re-optimizes from the previous basis needs about one pivot
-    # per entering column; a cold simplex start needs the whole master's count
+    # a round that re-optimizes from the previous basis needs at most about
+    # one pivot per entering column, and none where the block pivot already
+    # made them basic; a cold simplex start needs the whole master's count
     added = []
     real_add = measure_lp._Master.add
 
