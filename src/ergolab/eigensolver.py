@@ -16,7 +16,7 @@ least ``COARSE_MIN_NODES`` nodes, it is solved first, and the iteration
 starts from the control of its value field interpolated onto the finer
 grid.  Howard's algorithm converges superlinearly near the solution, so the
 fine grid skips the first evaluations, the ones far from the optimum.
-Smaller grids, and grids with a pinned wall, start from the zero control.
+Smaller grids start from the zero control.
 
 One ``operators.BorderedSolver`` is carried through the iteration on each
 grid: near convergence the control moves little, so the factor of an
@@ -224,15 +224,9 @@ def _coarse_level(
     grid is below ``COARSE_MIN_NODES`` or its solve fails or does not
     converge.  ``coarse``, when given, is used instead of a new solve.  The
     level releases its factor, whether solved here or handed in, before the
-    finer grid makes its own.
-
-    A pinned wall keeps the zero-control start.  It was kept because the
-    start once picked one of several fixed points there (2d, R=3, h=0.05:
-    lambda 6.1090 from the zero control, 6.1521 from the coarse start); now
-    the zero start gives 6.1521041789 too, and the coarse start agrees with
-    it to 1.5e-10."""
+    finer grid makes its own."""
     half = axis_half_width(grid.radius, 2.0 * grid.spacing)
-    if opts.boundary_mode != STATE_CONSTRAINT or (2 * half + 1) ** grid.dim < COARSE_MIN_NODES:
+    if (2 * half + 1) ** grid.dim < COARSE_MIN_NODES:
         return None
     coarse_grid = build_grid(grid.dim, grid.radius, 2.0 * grid.spacing)
     if coarse is None:
@@ -269,15 +263,14 @@ def solve_ergodic_hjb(
     """Policy iteration, coarse to fine, until lambda and the control settle.
 
     When the grid at spacing 2h (same dim and radius) has at least
-    ``COARSE_MIN_NODES`` nodes and the wall is a state constraint, that grid
-    is solved first by this function, and the iteration starts from the
-    improved control of its value field interpolated onto ``grid``;
-    otherwise, or when that solve fails or does not converge, it starts from
-    the zero control.  ``coarse`` hands in a solution on the 2h grid that the
-    caller already holds, which is then used instead of solving that grid
-    again.  Either way the 2h level's factor is released before ``grid``
-    factors, so one factor is alive at a time.  Only ``grid`` raises
-    warnings.
+    ``COARSE_MIN_NODES`` nodes, that grid is solved first by this function,
+    and the iteration starts from the improved control of its value field
+    interpolated onto ``grid``; otherwise, or when that solve fails or does
+    not converge, it starts from the zero control.  ``coarse`` hands in a
+    solution on the 2h grid that the caller already holds, which is then
+    used instead of solving that grid again.  Either way the 2h level's
+    factor is released before ``grid`` factors, so one factor is alive at a
+    time.  Only ``grid`` raises warnings.
 
     Stops when |lambda_{k+1} - lambda_k| <= LAMBDA_TOLERANCE and the control
     field moved by at most CONTROL_TOLERANCE in the sup norm; returns the

@@ -15,7 +15,7 @@ plain import of it would first run the ``scipy.optimize`` package init,
 which loads linprog, minimize, ``scipy.special``, ``scipy.fft`` and
 ``scipy.spatial``: about 80 ms and 13 MiB in every process that imports
 ergolab, including those that never solve an LP.  The program's matrix is
-plain CSC arrays, so ``scipy.sparse`` is not imported either.
+plain numpy arrays, so ``scipy.sparse`` is not imported either.
 
 The program is solved by column generation.  At the optimum almost every
 (node, atom) column carries no mass, so HiGHS only ever sees a restricted
@@ -87,7 +87,7 @@ class LPSolveError(RuntimeError):
 
 @dataclass
 class LPProblem:
-    a_eq: Compressed  # CSC, (num_interior + 1, num_nodes * num_atoms)
+    a_eq: Compressed  # columns, (num_interior + 1, num_nodes * num_atoms)
     b_eq: np.ndarray
     objective: np.ndarray  # running cost per (node, atom), node-major
     grid: Grid
@@ -139,20 +139,11 @@ def assemble_lp(
     pairs = np.repeat(np.arange(nint), K)
     A, _ = assemble_generator(grid, np.tile(xi_atoms, (nint, 1)), nodes=pairs)
     var = (grid.interior_ids[:, None] * K + np.arange(K)).ravel()
-    lengths = np.diff(A.indptr)
-    sizes = np.ones(nvar, dtype=np.int32)
-    sizes[var] += lengths
-    indptr = np.zeros(nvar + 1, dtype=np.int32)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.full(indptr[-1], nint, dtype=np.int32)
-    data = np.ones(indptr[-1])
-    at = np.arange(A.nnz, dtype=np.int32) + np.repeat(indptr[var] - A.indptr[:-1], lengths)
-    indices[at], data[at] = A.indices, A.data
     slot_index = np.full((A.slot_index.shape[0] + 1, nvar), nint)
     slot_data = np.zeros(slot_index.shape)
     slot_index[:-1, var], slot_data[:-1, var] = A.slot_index, A.slot_data
     slot_data[-1] = 1.0
-    a_eq = Compressed(indptr, indices, data, (nint + 1, nvar), True, slot_index, slot_data)
+    a_eq = Compressed((nint + 1, nvar), True, slot_index, slot_data)
     b_eq = np.zeros(nint + 1)
     b_eq[-1] = 1.0
 
@@ -195,15 +186,11 @@ class _Master:
 
     def add(self, ids: np.ndarray) -> None:
         """Add the columns ``ids`` of the full program at 0."""
-        a_eq = self.problem.a_eq
-        lengths = a_eq.indptr[ids + 1] - a_eq.indptr[ids]
-        starts = np.zeros(ids.size, dtype=np.int32)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        at = np.arange(lengths.sum()) + np.repeat(a_eq.indptr[ids] - starts, lengths)
+        indptr, indices, data = self.problem.a_eq.compress(ids)
         _ok(
             self.highs.addCols(
                 ids.size, self.problem.objective[ids], np.zeros(ids.size),
-                np.full(ids.size, np.inf), at.size, starts, a_eq.indices[at], a_eq.data[at],
+                np.full(ids.size, np.inf), data.size, indptr[:-1], indices, data,
             ),
             "addCols",
         )

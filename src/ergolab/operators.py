@@ -39,9 +39,11 @@ the previous policy evaluation, hands it in as the held factor's first
 iterate.
 
 ``scipy.sparse`` is never imported (its init and that of its ``linalg``
-took about 85 ms of every process start): the rows are plain arrays
-(``Compressed``), and SuperLU is scipy's binding ``_superlu``, loaded from
-its extension file alone by ``load_extension``, as HiGHS is.
+took about 85 ms of every process start).  The rows are plain arrays in one
+layout, ``Compressed``: each row's entries by slot, a missing one a hole of
+weight 0.  They are compressed only where a C library takes them: SuperLU,
+scipy's binding ``_superlu`` loaded from its extension file alone by
+``load_extension`` (as HiGHS is), and HiGHS's column adds.
 """
 
 from __future__ import annotations
@@ -94,22 +96,22 @@ DIRICHLET_VALUE = 1e6  # the pinned boundary value M of ``dirichlet_big``
 
 @dataclass(frozen=True)
 class Compressed:
-    """A sparse matrix of ``shape`` as compressed arrays: line k, a row of
-    CSR arrays or a column of CSC ones (``csc``), holds ``indices`` and
-    ``data`` at ``indptr[k]:indptr[k + 1]``, indices increasing; and the same
-    lines as (slots, lines) arrays, slot s holding each line's s-th entry or
-    a hole of weight 0 at some valid index.
+    """A sparse matrix of ``shape`` as (slots, lines) arrays: line k, a row,
+    or a column when ``csc``, holds its s-th entry at index
+    ``slot_index[s, k]`` with weight ``slot_data[s, k]``.  A hole is an entry
+    of weight 0 at some valid index; apart from the holes, a line's indices
+    increase with the slot.
 
     ``matvec`` and ``rmatvec`` (A @ x, A.T @ y) sum each output from zero in
-    storage order, as scipy's products do, so the bits are scipy's: a line's
-    own sum runs a slot at a time (a hole adds an exact zero for finite x)
-    and the other product is one ``np.bincount``.  Like scipy's C loops they
-    never warn, so an overflowing iterate reaches a residual check as inf or
-    NaN."""
+    line order, as scipy's products do, and a hole adds an exact zero for
+    finite x, so the bits are scipy's: a line's own sum runs a slot at a
+    time and the other product is one ``np.bincount``.  Like scipy's C loops
+    they never warn, so an overflowing iterate reaches a residual check as
+    inf or NaN.  ``compress`` builds the compressed arrays that SuperLU and
+    HiGHS take.  It leaves out every entry of weight 0, so a leg whose snapped
+    coefficient is exactly 0 (possible only at a wall row that warned of lost
+    monotonicity) is left out with the holes, and ``nnz`` does not count it."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
     shape: tuple[int, int]
     csc: bool
     slot_index: np.ndarray
@@ -117,13 +119,26 @@ class Compressed:
 
     @property
     def nnz(self) -> int:
-        return self.data.size
+        return int(np.count_nonzero(self.slot_data))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._scatter(x) if self.csc else self._line_sums(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return self._line_sums(y) if self.csc else self._scatter(y)
+
+    def compress(self, lines: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """The compressed arrays (indptr, indices, data), int32, int32 and
+        float64, of the lines ``lines`` (all by default) in that order: line
+        k's nonzero entries sit at ``indptr[k]:indptr[k + 1]``, indices
+        increasing."""
+        index, data = self.slot_index, self.slot_data
+        if lines is not None:
+            index, data = index[:, lines], data[:, lines]
+        keep = data.T != 0
+        indptr = np.zeros(keep.shape[0] + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, index.T[keep].astype(np.int32), data.T[keep]
 
     @np.errstate(over="ignore", invalid="ignore")
     def _line_sums(self, x: np.ndarray) -> np.ndarray:
@@ -136,10 +151,9 @@ class Compressed:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _scatter(self, y: np.ndarray) -> np.ndarray:
-        terms = np.repeat(y, np.diff(self.indptr))
-        terms *= self.data
         size = self.shape[0] if self.csc else self.shape[1]
-        return np.bincount(self.indices, weights=terms, minlength=size)
+        terms = (self.slot_data * y).T.ravel()
+        return np.bincount(self.slot_index.T.ravel(), weights=terms, minlength=size)
 
 
 def assemble_generator(
@@ -162,7 +176,7 @@ def assemble_generator(
         nodes: interior-local ids, by default ``range(N_int)``.
 
     Returns:
-        (A, rhs) with A the CSR ``Compressed`` of shape (len(nodes), N_int),
+        (A, rhs) with A the ``Compressed`` rows, of shape (len(nodes), N_int),
         acting on interior values, a missing leg's slot pointing at the row's
         own node; and rhs the boundary contribution to move to the
         right-hand side (zero in state-constraint mode).
@@ -196,7 +210,8 @@ def assemble_generator(
 
     # slot (a, -1) is row a, the diagonal row d and slot (a, +1) row 2d - a,
     # which orders each scheme row's columns by interior-local id; a slot
-    # whose neighbor is a boundary node holds -1 and is left out
+    # whose neighbor is a boundary node holds -1 until it becomes a hole at
+    # the row's own node
     cols = np.empty((2 * d + 1, len(nodes)), dtype=np.intp)
     vals = np.zeros(cols.shape)
     cols[d] = nodes
@@ -235,13 +250,9 @@ def assemble_generator(
     # the diagonal balances the row's legs, those to a pinned wall included
     # (their value is in rhs), and is exact since every partial sum is
     vals[d] = -vals.sum(axis=0)
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(d * 2 + 1 - hole.sum(axis=0), out=indptr[1:])
-    data, indices = vals.T[~hole.T], cols.T[~hole.T]  # row by row
     vals[hole] = 0.0
     cols[hole] = np.broadcast_to(cols[d], cols.shape)[hole]
-    A = Compressed(indptr, indices, data, (len(nodes), grid.num_interior), False, cols, vals)
-    return A, rhs
+    return Compressed((len(nodes), grid.num_interior), False, cols, vals), rhs
 
 
 class BorderedSolver:
@@ -320,9 +331,10 @@ class BorderedSolver:
         rank[order] = np.arange(nint + 1)
         # A's entries, the border column of ones and the norm row, then sorted
         # into CSC order; no two entries share a position
-        rows = np.concatenate([np.repeat(rank[:nint], np.diff(A.indptr)), rank[:nint], [nint]])
-        cols = np.concatenate([rank[A.indices], np.full(nint, nint), [rank[origin]]])
-        vals = np.concatenate([A.data, np.ones(nint + 1)])
+        indptr, indices, data = A.compress()
+        rows = np.concatenate([np.repeat(rank[:nint], np.diff(indptr)), rank[:nint], [nint]])
+        cols = np.concatenate([rank[indices], np.full(nint, nint), [rank[origin]]])
+        vals = np.concatenate([data, np.ones(nint + 1)])
         entry = np.argsort(cols * (nint + 1) + rows)
         indptr = np.zeros(nint + 2, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=nint + 1), out=indptr[1:])

@@ -46,10 +46,11 @@ def upwind_pairing(xi: np.ndarray, dminus: np.ndarray, dplus: np.ndarray) -> np.
 
 
 def as_scipy(matrix: Compressed):
-    """A ``Compressed`` matrix as a scipy CSR or CSC matrix over the same
-    arrays."""
+    """A ``Compressed`` matrix as a scipy CSR or CSC matrix over the arrays
+    of its ``compress``."""
     kind = sparse.csc_matrix if matrix.csc else sparse.csr_matrix
-    return kind((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    indptr, indices, data = matrix.compress()
+    return kind((data, indices, indptr), shape=matrix.shape)
 
 
 def as_compressed(matrix) -> Compressed:
@@ -61,7 +62,7 @@ def as_compressed(matrix) -> Compressed:
     filled = np.arange(lengths.max()) < lengths[:, None]
     index, data = np.zeros(filled.shape, dtype=np.intp), np.zeros(filled.shape)
     index[filled], data[filled] = m.indices, m.data
-    return Compressed(m.indptr, m.indices, m.data, m.shape, False, index.T.copy(), data.T.copy())
+    return Compressed(m.shape, False, index.T.copy(), data.T.copy())
 
 
 def as_weights(measure: GridMeasure) -> sparse.csr_matrix:

@@ -231,15 +231,19 @@ def test_failed_coarse_level_falls_back_to_the_zero_control(monkeypatch, failure
     assert np.array_equal(sol.u, cold.u)
 
 
-def test_pinned_wall_keeps_the_zero_control_start(monkeypatch):
-    # policy iteration under a pinned wall has more than one fixed point, and
-    # a coarse start would pick another one than the zero control does
+def test_pinned_wall_starts_from_the_coarse_level(monkeypatch):
+    # a pinned wall starts from the coarse level as the state constraint
+    # does, and reaches the eigenvalue of the zero-control start
     monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 200)
     g = build_grid(2, 2.0, 0.1)  # 41^2 nodes, 21^2 at 2h and 11^2 at 4h
     model, pot = pure_power(1.5), quadratic_power_potential(1.5)
     pinned = SolverOptions(boundary_mode="dirichlet_big")
-    assert solve_ergodic_hjb(g, model, pot, pinned).levels == []
-    assert len(solve_ergodic_hjb(g, model, pot).levels) == 1
+    coarse = solve_ergodic_hjb(g, model, pot, pinned)
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", 10**9)
+    zero = solve_ergodic_hjb(g, model, pot, pinned)
+    assert len(coarse.levels) == 1 and zero.levels == []
+    assert coarse.converged and zero.converged
+    assert abs(coarse.lam - zero.lam) <= 1e-9
 
 
 def test_coarse_solution_must_be_on_the_2h_grid():

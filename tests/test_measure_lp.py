@@ -110,9 +110,10 @@ def test_one_call_program_matches_per_atom_assembly(dim, radius, spacing, bound,
     model, pot = pure_power(1.5), quadratic_power_potential(1.5)
     problem = assemble_lp(g, atoms, model, pot)
     a_eq, objective = per_atom_program(g, atoms, model, pot)
-    assert np.array_equal(problem.a_eq.indptr, a_eq.indptr)
-    assert np.array_equal(problem.a_eq.indices, a_eq.indices)
-    assert problem.a_eq.data.tobytes() == a_eq.data.tobytes()
+    indptr, indices, data = problem.a_eq.compress()
+    assert np.array_equal(indptr, a_eq.indptr)
+    assert np.array_equal(indices, a_eq.indices)
+    assert data.tobytes() == a_eq.data.tobytes()
     assert problem.objective.tobytes() == objective.tobytes()
 
 

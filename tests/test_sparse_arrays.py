@@ -51,6 +51,29 @@ def test_generator_products_are_scipys(dim, radius, spacing, mode):
         assert same_bits(A.rmatvec(x), reference.T @ x)
 
 
+@pytest.mark.parametrize("mode", ["state_constraint", "dirichlet_big"])
+@pytest.mark.parametrize("dim, radius, spacing", [(1, 4.0, 0.05), (2, 5.0, 0.05)])
+def test_holes_are_the_zeros(dim, radius, spacing, mode):
+    # a row holds its diagonal and one entry per leg to an interior neighbor,
+    # under either closure; every other slot is a hole of weight 0
+    g = build_grid(dim, radius, spacing)
+    rng = np.random.default_rng(17)
+    A, _ = assemble_generator(g, rng.normal(scale=2.0, size=(g.num_nodes, dim)), mode)
+    legs = sum(int((g.interior_neighbor(a, s) >= 0).sum()) for a in range(dim) for s in (-1, 1))
+    assert A.nnz == g.num_interior + legs == {1: 475, 2: 197_209}[dim]  # 2d: solve_2d's grid
+    lines = np.broadcast_to(np.arange(A.shape[0]), A.slot_index.shape)
+    slots = sparse.csr_matrix((A.slot_data.ravel(), (lines.ravel(), A.slot_index.ravel())),
+                              shape=A.shape)
+    full = as_scipy(A)  # compress drops the holes alone: no duplicate, every weight in place
+    assert full.has_canonical_format and (full != slots).nnz == 0
+    ids = rng.permutation(g.num_interior)[: g.num_interior // 3]  # unsorted
+    indptr, indices, data = A.compress(ids)
+    reference = full[ids]
+    assert same_bits(indptr, reference.indptr.astype(np.int32))
+    assert same_bits(indices, reference.indices.astype(np.int32))
+    assert same_bits(data, reference.data)
+
+
 def test_rows_at_pairs_products_are_scipys():
     # the measure program's rows: every interior node under every atom
     g = build_grid(2, 3.0, 0.2)
