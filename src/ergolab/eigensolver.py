@@ -16,7 +16,9 @@ least ``COARSE_MIN_NODES`` nodes, it is solved first, and the iteration
 starts from the control of its value field interpolated onto the finer
 grid.  Howard's algorithm converges superlinearly near the solution, so the
 fine grid skips the first evaluations, the ones far from the optimum.
-Smaller grids start from the zero control.
+Smaller grids start from the zero control.  As in nested iteration, a
+coarse level only supplies that start: it stops once its control step is
+within its own spacing, far below its discretization error.
 
 One ``operators.BorderedSolver`` is carried through the iteration on each
 grid: near convergence the control moves little, so the factor of an
@@ -75,11 +77,11 @@ LAMBDA_TOLERANCE = 1e-10
 # terminate.
 CONTROL_TOLERANCE = 1e-6
 # A grid starts from the solution at twice its spacing when that grid has at
-# least this many nodes.  The `solve` stage of the 40,401-node 2d run
-# (fields.csv included; 2-vCPU VM, medians of six alternating runs) took
-# 0.35 s from the zero control, 0.27 s from a 10,201-node level, 0.26 s with
-# levels down to 2,601 nodes and 0.26 s with a 625-node level too: smaller
-# levels gain nothing measurable.
+# least this many nodes.  With truncated levels the 40,401-node 2d solve
+# took (CPU time; 2-vCPU VM, medians of seven alternating runs) 0.83 s from
+# the zero control, 0.47 s from a 10,201-node level, 0.42 s with levels down
+# to 2,601 nodes and 0.46 s with a 625-node level too: smaller levels gain
+# nothing.
 COARSE_MIN_NODES = 2000
 
 
@@ -220,9 +222,10 @@ def _coarse_level(
     opts: SolverOptions,
     coarse: ErgodicSolution | None,
 ) -> ErgodicSolution | None:
-    """The converged solution at spacing 2h to start from, or None when that
-    grid is below ``COARSE_MIN_NODES`` or its solve fails or does not
-    converge.  ``coarse``, when given, is used instead of a new solve.  The
+    """The solution at spacing 2h to start from, or None when that grid is
+    below ``COARSE_MIN_NODES`` or its solve fails or does not converge.  The
+    solve here is truncated: it stops at its first control step within 2h.
+    ``coarse``, when given, is used as it is instead of a new solve.  The
     level releases its factor, whether solved here or handed in, before the
     finer grid makes its own."""
     half = axis_half_width(grid.radius, 2.0 * grid.spacing)
@@ -235,7 +238,7 @@ def _coarse_level(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                coarse = solve_ergodic_hjb(coarse_grid, model, potential, opts)
+                coarse = solve_ergodic_hjb(coarse_grid, model, potential, opts, truncate=True)
             except SingularEvaluationError:
                 return None
     elif coarse.grid != coarse_grid:
@@ -259,6 +262,8 @@ def solve_ergodic_hjb(
     potential: PotentialSpec,
     opts: SolverOptions = SolverOptions(),
     coarse: ErgodicSolution | None = None,
+    *,
+    truncate: bool = False,
 ) -> ErgodicSolution:
     """Policy iteration, coarse to fine, until lambda and the control settle.
 
@@ -273,8 +278,10 @@ def solve_ergodic_hjb(
     time.  Only ``grid`` raises warnings.
 
     Stops when |lambda_{k+1} - lambda_k| <= LAMBDA_TOLERANCE and the control
-    field moved by at most CONTROL_TOLERANCE in the sup norm; returns the
-    best iterate flagged non-converged if the budget runs out.
+    field moved by at most CONTROL_TOLERANCE in the sup norm, or, with
+    ``truncate`` (a coarse level's solve), as soon as the control moved by at
+    most the grid spacing; returns the best iterate flagged non-converged if
+    the budget runs out.
     """
     fvals = potential.on_grid(grid)
     _check_coercive(grid, fvals, potential.family)
@@ -294,6 +301,7 @@ def solve_ergodic_hjb(
                 "factorizations": work.factorizations,
                 "refinement_solves": work.refinement_solves,
                 "lambda": coarse.lam,
+                "control_step": coarse.iteration_stats[-1]["control_step"],
             },
         ]
     lam_prev = None
@@ -323,7 +331,7 @@ def solve_ergodic_hjb(
             lam_prev is not None
             and abs(lam - lam_prev) <= LAMBDA_TOLERANCE
             and step <= CONTROL_TOLERANCE
-        ):
+        ) or (truncate and step <= grid.spacing):
             converged = True
             break
         lam_prev = lam

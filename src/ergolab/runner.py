@@ -102,6 +102,11 @@ class _Run:
     def potential(self) -> PotentialSpec:
         return self.config.potential()
 
+    @cached_property
+    def xi_u(self) -> np.ndarray:
+        """The control of the solution at h, derived once for every stage."""
+        return self.sol.xi_u
+
     def check(self, name: str, passed: bool, value, tolerance) -> None:
         self.checks[name] = {"passed": bool(passed), "value": value, "tolerance": tolerance}
 
@@ -168,12 +173,12 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     return RunReport(payload=payload, exit_code=code)
 
 
-def _report_solution(sol: ErgodicSolution) -> dict:
+def _report_solution(sol: ErgodicSolution, residual_sup: float) -> dict:
     return {
         "lambda": sol.lam,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "residual_sup": sol.residual_sup,
+        "residual_sup": residual_sup,
         "stats": {
             **sol.solver.stats(),
             "iterations": sol.iteration_stats,
@@ -185,15 +190,16 @@ def _report_solution(sol: ErgodicSolution) -> dict:
 def _solve(run: _Run) -> None:
     grid, opts = run.grid, run.config.solver_options()
     sol = run.sol = solve_ergodic_hjb(grid, run.model, run.potential, opts)
-    run.results["solve"] = _report_solution(sol)
+    residual = pointwise_residual(sol)
+    run.results["solve"] = _report_solution(sol, float(residual.max()))
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
     du = gradient_inward_fallback(sol.u, grid)
-    fields = {"u": sol.u, "du": du, "xi": sol.xi_u, "residual": pointwise_residual(sol)}
+    fields = {"u": sol.u, "du": du, "xi": run.xi_u, "residual": residual}
     write_field_csv(run.out / "fields.csv", grid, fields)
 
 
 def _density(run: _Run) -> None:
-    sol, xi_u = run.sol, run.sol.xi_u
+    sol, xi_u = run.sol, run.xi_u
     factorizations = sol.solver.factorizations
     # the transposed solve refines with the factor of the last evaluation
     density = stationary_density(run.grid, xi_u, sol.solver)
@@ -209,7 +215,7 @@ def _density(run: _Run) -> None:
 
 def _lp(run: _Run) -> None:
     config, grid, sol = run.config, run.grid, run.sol
-    bound = 1.25 * float(np.abs(sol.xi_u).max())
+    bound = 1.25 * float(np.abs(run.xi_u).max())
     count = int(config["lp"]["xi_count"])
     run.atoms = uniform_xi_atoms(bound, count, grid.dim)
     run.problem = assemble_lp(grid, run.atoms, run.model, run.potential)
@@ -268,7 +274,7 @@ def _refine(run: _Run) -> None:
     fine = build_grid(run.grid.dim, run.grid.radius, run.grid.spacing / 2.0)
     opts = run.config.solver_options()
     refined = run.refined = solve_ergodic_hjb(fine, run.model, run.potential, opts, coarse=run.sol)
-    run.results["refine"] = _report_solution(refined)
+    run.results["refine"] = _report_solution(refined, refined.residual_sup)
     run.check("refine_converged", refined.converged, refined.iterations, opts.max_policy_iters)
     refined.solver.drop()  # no later stage solves on the h/2 grid
 
@@ -280,7 +286,7 @@ def _simulate(run: _Run) -> None:
     # order, so the check compares against that
     reference = 2.0 * run.refined.lam - sol.lam
     params = run.config.sim_params()
-    rep = simulate_average(grid, sol.xi_u, model, potential, params)
+    rep = simulate_average(grid, run.xi_u, model, potential, params)
     run.results["simulate"] = {
         **_report_sim(rep),
         "lambda_refined": run.refined.lam,
@@ -301,7 +307,7 @@ def _simulate(run: _Run) -> None:
 
 def _compare(run: _Run) -> None:
     params = run.config.sim_params()
-    named = [(f"{m:g}*xi_u", m * run.sol.xi_u) for m in run.config["compare"]["multipliers"]]
+    named = [(f"{m:g}*xi_u", m * run.xi_u) for m in run.config["compare"]["multipliers"]]
     comp = compare_controls(run.grid, named, run.model, run.potential, params)
     reference = f"{1.0:g}*xi_u"  # config validation requires the multiplier 1.0
     run.results["compare"] = {

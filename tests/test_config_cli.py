@@ -738,16 +738,19 @@ def test_full_verify_pipeline(tmp_path, capsys):
 
 
 def test_2d_solve_reports_its_coarse_levels(tmp_path):
-    # 121^2 nodes; the 0.1 grid (61^2 = 3,721 nodes) is solved first and the
-    # 0.2 grid (961) is below the threshold
+    # 121^2 nodes; the 0.1 grid (61^2 = 3,721 nodes) is solved first, only
+    # until its control step is within its own spacing, and the 0.2 grid
+    # (961) is below the threshold
     args = ["--set", "grid.dim=2", "--set", "grid.radius=3.0", "--set", "grid.spacing=0.05"]
     assert main(["fokker_planck", "--out-dir", str(tmp_path)] + args) == 0
     payload = json.loads((tmp_path / "summary.json").read_text())
     solve = payload["results"]["solve"]
     (coarse,) = solve["stats"]["levels"]
-    assert set(coarse) == {"nodes", "iterations", "factorizations", "refinement_solves", "lambda"}
+    assert set(coarse) == {
+        "nodes", "iterations", "factorizations", "refinement_solves", "lambda", "control_step"
+    }
     assert coarse["nodes"] == 61**2
-    assert coarse["iterations"] >= solve["iterations"]
+    assert coarse["control_step"] <= 0.1
     assert coarse["factorizations"] >= 1
     assert abs(coarse["lambda"] - solve["lambda"]) <= 0.01
     assert solve["stats"]["factorizations"] == 1

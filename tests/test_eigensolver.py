@@ -246,6 +246,51 @@ def test_pinned_wall_starts_from_the_coarse_level(monkeypatch):
     assert abs(coarse.lam - zero.lam) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "dim, radius, spacing, boundary_mode, min_nodes, lam_tol, solve_slack",
+    [
+        (2, 3.0, 0.05, "state_constraint", eigensolver.COARSE_MIN_NODES, 1e-10, 0.0),
+        # the grid of the pinned test above: the coarse start shortens nothing
+        # there (27 iterations from either level), and the held factor's
+        # refinement count moves with the start's last digits (76 against 74)
+        (2, 2.0, 0.1, "dirichlet_big", 200, 1e-9, 0.05),
+        (1, 6.0, 0.003, "state_constraint", eigensolver.COARSE_MIN_NODES, 1e-10, 0.0),
+    ],
+)
+def test_coarse_levels_stop_within_their_spacing(
+    monkeypatch, dim, radius, spacing, boundary_mode, min_nodes, lam_tol, solve_slack
+):
+    # each coarse level stops at its first control step within its own
+    # spacing, and the grid asked for does no more work than from a fully
+    # converged coarse level handed in
+    monkeypatch.setattr(eigensolver, "COARSE_MIN_NODES", min_nodes)
+    g = build_grid(dim, radius, spacing)
+    model, pot = pure_power(1.5), quadratic_power_potential(1.5)
+    opts = SolverOptions(boundary_mode=boundary_mode)
+    solve = eigensolver.solve_ergodic_hjb
+    coarse = solve(build_grid(dim, radius, 2 * spacing), model, pot, opts)
+    full = solve(g, model, pot, opts, coarse=coarse)
+    levels = []
+
+    def recording(grid, *args, **kwargs):  # the recursive call goes here
+        sol = solve(grid, *args, **kwargs)
+        levels.append(sol)
+        return sol
+
+    monkeypatch.setattr(eigensolver, "solve_ergodic_hjb", recording)
+    nested = solve(g, model, pot, opts)
+    assert len(levels) == len(nested.levels) >= 1
+    for level in levels:
+        steps = [stats["control_step"] for stats in level.iteration_stats]
+        assert level.converged
+        assert steps[-1] <= level.grid.spacing < min(steps[:-1], default=np.inf)
+    assert nested.converged and full.converged
+    assert nested.iterations <= full.iterations
+    assert nested.solver.factorizations <= full.solver.factorizations
+    assert nested.solver.refinement_solves <= (1 + solve_slack) * full.solver.refinement_solves
+    assert abs(nested.lam - full.lam) <= lam_tol
+
+
 def test_coarse_solution_must_be_on_the_2h_grid():
     model, pot = pure_power(1.5), quadratic_power_potential(1.5)
     other = solve_ergodic_hjb(build_grid(2, 3.0, 0.2), model, pot)
