@@ -104,7 +104,8 @@ class SolverOptions:
 @dataclass
 class ErgodicSolution:
     """(u, lambda) stored with the ``model`` (H) and ``potential`` (f) it solves;
-    ``xi_u``, ``residual_sup`` and ``iterations`` are derived on each read."""
+    ``xi_u`` and ``iterations`` are derived on each read, and the equation
+    defect is ``pde_residual(solution)``."""
 
     u: np.ndarray  # (N,), shifted so min u = 1
     lam: float
@@ -125,11 +126,6 @@ class ErgodicSolution:
     def xi_u(self) -> np.ndarray:
         """(N, d) optimal control D_p H(x, Du), zero on the boundary layer."""
         return policy_improvement(self.grid, self.u, self.model)
-
-    @property
-    def residual_sup(self) -> float:
-        """Sup-norm of the equation defect over interior nodes."""
-        return pde_residual(self)
 
     @property
     def iterations(self) -> int:
@@ -222,14 +218,14 @@ def _coarse_level(
     opts: SolverOptions,
     coarse: ErgodicSolution | None,
 ) -> ErgodicSolution | None:
-    """The solution at spacing 2h to start from, or None when that grid is
-    below ``COARSE_MIN_NODES`` or its solve fails or does not converge.  The
-    solve here is truncated: it stops at its first control step within 2h.
-    ``coarse``, when given, is used as it is instead of a new solve.  The
-    level releases its factor, whether solved here or handed in, before the
-    finer grid makes its own."""
+    """The solution at spacing 2h to start from, or None when there is none or
+    it did not converge.  ``coarse``, when given, is used as it is, whatever
+    its grid's size.  Otherwise the 2h grid is solved here, truncated at its
+    first control step within 2h, if it has at least ``COARSE_MIN_NODES``
+    nodes.  The level releases its factor, whether solved here or handed in,
+    before the finer grid makes its own."""
     half = axis_half_width(grid.radius, 2.0 * grid.spacing)
-    if (2 * half + 1) ** grid.dim < COARSE_MIN_NODES:
+    if coarse is None and (2 * half + 1) ** grid.dim < COARSE_MIN_NODES:
         return None
     coarse_grid = build_grid(grid.dim, grid.radius, 2.0 * grid.spacing)
     if coarse is None:
@@ -272,10 +268,10 @@ def solve_ergodic_hjb(
     and the iteration starts from the improved control of its value field
     interpolated onto ``grid``; otherwise, or when that solve fails or does
     not converge, it starts from the zero control.  ``coarse`` hands in a
-    solution on the 2h grid that the caller already holds, which is then
-    used instead of solving that grid again.  Either way the 2h level's
-    factor is released before ``grid`` factors, so one factor is alive at a
-    time.  Only ``grid`` raises warnings.
+    solution on the 2h grid that the caller already holds, which is then the
+    start whatever that grid's size, so only ``grid`` is solved.  Either way
+    the 2h level's factor is released before ``grid`` factors, so one factor
+    is alive at a time.  Only ``grid`` raises warnings.
 
     Stops when |lambda_{k+1} - lambda_k| <= LAMBDA_TOLERANCE and the control
     field moved by at most CONTROL_TOLERANCE in the sup norm, or, with

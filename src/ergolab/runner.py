@@ -28,7 +28,7 @@ from .eigensolver import (
     ErgodicSolution,
     SingularEvaluationError,
     domain_exhaustion,
-    pointwise_residual,
+    pde_residual,
     solve_ergodic_hjb,
 )
 from .estimates import (
@@ -38,7 +38,7 @@ from .estimates import (
     check_value_lower_bounds,
     fit_hamiltonian_growth,
 )
-from .grid import Grid, build_grid, gradient_inward_fallback
+from .grid import Grid, build_grid
 from .hamiltonian import HamiltonianModel, PotentialSpec
 from .measure_lp import (
     LPProblem,
@@ -173,12 +173,12 @@ def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     return RunReport(payload=payload, exit_code=code)
 
 
-def _report_solution(sol: ErgodicSolution, residual_sup: float) -> dict:
+def _report_solution(sol: ErgodicSolution) -> dict:
     return {
         "lambda": sol.lam,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "residual_sup": residual_sup,
+        "residual_sup": pde_residual(sol),
         "stats": {
             **sol.solver.stats(),
             "iterations": sol.iteration_stats,
@@ -190,12 +190,11 @@ def _report_solution(sol: ErgodicSolution, residual_sup: float) -> dict:
 def _solve(run: _Run) -> None:
     grid, opts = run.grid, run.config.solver_options()
     sol = run.sol = solve_ergodic_hjb(grid, run.model, run.potential, opts)
-    residual = pointwise_residual(sol)
-    run.results["solve"] = _report_solution(sol, float(residual.max()))
+    run.results["solve"] = _report_solution(sol)
     run.check("solver_converged", sol.converged, sol.iterations, opts.max_policy_iters)
-    du = gradient_inward_fallback(sol.u, grid)
-    fields = {"u": sol.u, "du": du, "xi": run.xi_u, "residual": residual}
-    write_field_csv(run.out / "fields.csv", grid, fields)
+    # the gradient, the control and the pointwise residual are each one
+    # library call on u (README, Artifacts), so u alone is written
+    write_field_csv(run.out / "fields.csv", grid, "u", sol.u)
 
 
 def _density(run: _Run) -> None:
@@ -208,7 +207,7 @@ def _density(run: _Run) -> None:
         "mu_cost": mu_cost,
         "stats": {"factorizations": sol.solver.factorizations - factorizations},
     }
-    write_field_csv(run.out / "density.csv", run.grid, {"rho": density.rho})
+    write_field_csv(run.out / "density.csv", run.grid, "rho", density.rho)
     gap = abs(mu_cost - sol.lam)
     run.check("fp_cost_matches_lambda", gap <= FP_GAP, gap, FP_GAP)
 
@@ -274,7 +273,7 @@ def _refine(run: _Run) -> None:
     fine = build_grid(run.grid.dim, run.grid.radius, run.grid.spacing / 2.0)
     opts = run.config.solver_options()
     refined = run.refined = solve_ergodic_hjb(fine, run.model, run.potential, opts, coarse=run.sol)
-    run.results["refine"] = _report_solution(refined, refined.residual_sup)
+    run.results["refine"] = _report_solution(refined)
     run.check("refine_converged", refined.converged, refined.iterations, opts.max_policy_iters)
     refined.solver.drop()  # no later stage solves on the h/2 grid
 

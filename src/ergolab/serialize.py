@@ -39,24 +39,15 @@ def write_csv(
             fh.write("".join(head + line % tuple(row) for head, row in zip(heads, chunk)))
 
 
-def write_field_csv(path: Path, grid: Grid, columns: dict[str, np.ndarray]) -> None:
-    """One row per node: coordinates, then each named column (vector fields
-    expand to one column per component).  Each axis coordinate is formatted
-    once and the node's coordinates are written as one row label; the bytes
-    are those of ``write_csv`` over the coordinate and value columns."""
-    header = [f"x{a}" for a in range(grid.dim)]
-    arrays = []
-    for name, arr in columns.items():
-        arr = np.asarray(arr)
-        if arr.ndim == 1:
-            header.append(name)
-            arrays.append(arr[:, None])
-        else:
-            header.extend(f"{name}{a}" for a in range(arr.shape[1]))
-            arrays.append(arr)
+def write_field_csv(path: Path, grid: Grid, name: str, values: np.ndarray) -> None:
+    """One row per node: its coordinates, then the scalar field ``values``
+    under the header ``name``.  Each axis coordinate is formatted once and the
+    node's coordinates are written as one row label; the bytes are those of
+    ``write_csv`` over the coordinate and value columns."""
+    header = [f"x{a}" for a in range(grid.dim)] + [name]
     axis = ["%.17g," % v for v in grid.axis_coords.tolist()]
     labels = axis if grid.dim == 1 else [a + b for a in axis for b in axis]
-    write_csv(path, header, np.hstack(arrays), labels)
+    write_csv(path, header, np.asarray(values)[:, None], labels)
 
 
 def write_measure_csv(path: Path, measure) -> None:

@@ -15,14 +15,23 @@ from scipy import integrate
 
 from ergolab.cli import main
 from ergolab.density import average_cost, stationary_density
-from ergolab.eigensolver import SolverOptions, domain_exhaustion, solve_ergodic_hjb
+from ergolab.config import parse_config
+from ergolab.eigensolver import (
+    ErgodicSolution,
+    SolverOptions,
+    domain_exhaustion,
+    pde_residual,
+    pointwise_residual,
+    policy_improvement,
+    solve_ergodic_hjb,
+)
 from ergolab.estimates import (
     check_gradient_bound,
     check_polynomial_envelope,
     check_potential_gradient_growth,
     check_value_lower_bounds,
 )
-from ergolab.grid import build_grid
+from ergolab.grid import build_grid, gradient_inward_fallback
 from ergolab.hamiltonian import (
     drift_power,
     duality_gap,
@@ -352,3 +361,35 @@ def test_criterion_10_determinism(tmp_path):
         f"report identical={same_json}, artifacts identical={same_files}, "
         f"path-count mismatches={mismatches}",
     )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["--set", "grid.dim=2", "--set", "grid.radius=2.0", "--set", "grid.spacing=0.1"]],
+    ids=["1d", "2d"],
+)
+def test_fields_csv_rebuilds_the_solution(tmp_path, overrides):
+    # fields.csv holds the coordinates and u alone: with the lambda and config
+    # of summary.json they rebuild the solution, and the gradient, control and
+    # pointwise residual it no longer stores come out as the same bits as
+    # those of a solve in this process
+    assert main(["fokker_planck", "--out-dir", str(tmp_path)] + overrides) == 0
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    config = parse_config(json.dumps(payload["config"]))
+    grid, model, pot = config.grid(), config.model(), config.potential()
+    with open(tmp_path / "fields.csv") as fh:
+        header = fh.readline().strip()
+    assert header == ",".join([f"x{a}" for a in range(grid.dim)] + ["u"])
+    table = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1, ndmin=2)
+    solve = payload["results"]["solve"]
+    rebuilt = ErgodicSolution(
+        u=table[:, -1], lam=solve["lambda"], grid=grid, model=model, potential=pot, converged=True
+    )
+    sol = solve_ergodic_hjb(grid, model, pot, config.solver_options())
+    assert np.array_equal(table[:, :-1], grid.coords)
+    assert np.array_equal(rebuilt.u, sol.u) and rebuilt.lam == sol.lam
+    du = gradient_inward_fallback(rebuilt.u, grid)
+    assert np.array_equal(du, gradient_inward_fallback(sol.u, grid))
+    assert np.array_equal(policy_improvement(grid, rebuilt.u, model), sol.xi_u)
+    assert np.array_equal(pointwise_residual(rebuilt), pointwise_residual(sol))
+    assert pde_residual(rebuilt) == solve["residual_sup"]

@@ -24,6 +24,7 @@ from ergolab.eigensolver import (
     SingularEvaluationError,
     SolverOptions,
     domain_exhaustion,
+    pde_residual,
     solve_ergodic_hjb,
 )
 from ergolab.estimates import fit_hamiltonian_growth
@@ -111,7 +112,7 @@ def test_readme_library_block_runs():
     names = {}
     exec(block[: block.index("```")], names)
     solution = names["solution"]
-    assert names["residual"] == solution.residual_sup
+    assert names["residual"] == pde_residual(solution)
     assert abs(names["cost"] - solution.lam) <= 1e-8
 
 
@@ -791,8 +792,12 @@ def test_refine_stage_solves_the_run_problem(tmp_path):
         payload = json.loads((tmp_path / str(i) / "summary.json").read_text())
         assert "error" not in payload["results"]
         refined.append(payload["results"]["refine"])
-    model = drift_power(1.5, lambda x: np.full_like(x, 0.5))
-    direct = solve_ergodic_hjb(build_grid(1, 4.0, 0.05), model, quadratic_power_potential(1.5))
+    # the refine stage starts from the solve stage's solution, which a direct
+    # h/2 solve is handed as its coarse level; the capped run's h solution did
+    # not converge, so its h/2 solve starts from the zero control
+    model, pot = drift_power(1.5, lambda x: np.full_like(x, 0.5)), quadratic_power_potential(1.5)
+    coarse = solve_ergodic_hjb(build_grid(1, 4.0, 0.1), model, pot)
+    direct = solve_ergodic_hjb(build_grid(1, 4.0, 0.05), model, pot, coarse=coarse)
     assert refined[0]["lambda"] == direct.lam
     assert refined[0]["iterations"] == direct.iterations > 2
     assert refined[1]["iterations"] == 2 and not refined[1]["converged"]
@@ -817,11 +822,10 @@ def test_refine_stage_declares_its_convergence(tmp_path, monkeypatch):
 
 
 def test_refine_stage_solves_no_level_twice(tmp_path, monkeypatch):
-    # the h/2 grid is solved once in the whole run, by the refine stage, which
-    # releases its own factor; the solve stage's factor stays in place only
-    # because these 1d grids are too small for a coarse level (the h grid's 81
-    # nodes are below COARSE_MIN_NODES): an h/2 grid with a coarse level takes
-    # the solve stage's solution as that level and releases its factor
+    # the h/2 grid is solved once in the whole run, by the refine stage; it
+    # takes the solve stage's solution as its coarse level although the h
+    # grid's 81 nodes are below COARSE_MIN_NODES, releases that level's factor
+    # before it makes its own, and then releases its own
     evaluate = ergolab.eigensolver.policy_evaluation
     refine = STAGES["refine"]
     evaluated, fills = [], []
@@ -842,7 +846,19 @@ def test_refine_stage_solves_no_level_twice(tmp_path, monkeypatch):
     assert set(evaluated) == {81, 161}
     assert evaluated.count(161) == results["refine"]["iterations"] > 0
     fill = results["solve"]["stats"]["lu_fill"]
-    assert fill > 0 and fills == [fill, fill, 0]
+    assert fill > 0 and fills == [fill, 0, 0]
+
+
+def test_1d_refine_starts_from_the_solve_stage(tmp_path):
+    # the h/2 solve records the solve stage's solution as its one level, and
+    # its first iterate already lies near its last
+    sde = ["--set", "sde.horizon=1.0", "--set", "sde.n_paths=2", "--set", "checks.sim_sigmas=1e6"]
+    assert main(["simulate", "--out-dir", str(tmp_path)] + SOLVE_ARGS + sde) == 0
+    results = json.loads((tmp_path / "summary.json").read_text())["results"]
+    (level,) = results["refine"]["stats"]["levels"]
+    assert level["nodes"] == 81 and level["lambda"] == results["solve"]["lambda"]
+    trace = results["refine"]["stats"]["iterations"]
+    assert abs(trace[0]["lambda"] - trace[-1]["lambda"]) <= 1e-3
 
 
 def test_full_verify_deterministic(tmp_path):

@@ -250,13 +250,12 @@ def test_field_csv_deterministic(tmp_path):
     g = build_grid(2, 1.0, 0.2)
     rng = np.random.default_rng(4)
     u = rng.normal(size=g.num_nodes)
-    v = rng.normal(size=(g.num_nodes, 2))
-    write_field_csv(tmp_path / "a.csv", g, {"u": u, "v": v})
-    write_field_csv(tmp_path / "b.csv", g, {"u": u, "v": v})
+    write_field_csv(tmp_path / "a.csv", g, "u", u)
+    write_field_csv(tmp_path / "b.csv", g, "u", u)
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()
     header = a.decode().splitlines()[0]
-    assert header == "x0,x1,u,v0,v1"
+    assert header == "x0,x1,u"
     assert len(a.decode().splitlines()) == g.num_nodes + 1
 
 

@@ -47,9 +47,8 @@ def test_field_csv_matches_write_csv_over_coordinates(tmp_path, dim, radius, spa
     g = build_grid(dim, radius, spacing)
     rng = np.random.default_rng(5)
     u = rng.normal(size=g.num_nodes) * 1e3
-    v = rng.normal(size=(g.num_nodes, dim))
     u[:3] = [-0.0, 0.0, 1.0]
-    write_field_csv(tmp_path / "field.csv", g, {"u": u, "v": v})
-    header = [f"x{a}" for a in range(dim)] + ["u"] + [f"v{a}" for a in range(dim)]
-    write_csv(tmp_path / "generic.csv", header, np.hstack([g.coords, u[:, None], v]))
+    write_field_csv(tmp_path / "field.csv", g, "u", u)
+    header = [f"x{a}" for a in range(dim)] + ["u"]
+    write_csv(tmp_path / "generic.csv", header, np.hstack([g.coords, u[:, None]]))
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
