@@ -5,8 +5,8 @@
                        [--set key=value ...]
 
 Exit codes: 0 all checks passed, 1 a declared check failed, 2 configuration
-error, 3 numerical failure. A configuration is refused (exit 2) only while it
-is parsed, before any artifact; a run that starts writes ``summary.json``.
+error, 3 numerical failure. A configuration is refused (exit 2) only before
+the run starts, before any artifact; a run that starts writes ``summary.json``.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
+        out_dir = args.out_dir if args.out_dir is not None else config["output"]["directory"]
+        report = run_scenario(config, out_dir)  # refuses an LP over the column limit
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out_dir if args.out_dir is not None else config["output"]["directory"]
-    report = run_scenario(config, out_dir)
     results = report.payload["results"]
     if "headline" in results:
         for key, val in results["headline"].items():

@@ -105,6 +105,10 @@ for _leaf, _row in SCHEMA.items():
 # them) and in the sweep's density solves times the grid's nodes. Criterion 6
 # runs 3 x 16 x 2e6 = 9.6e7 path-steps.
 MAX_WORK = 10**8
+# The most columns the `lp` stage's program may have, grid nodes x atoms.
+# Assembling it took about 265 B a column on a 2-vCPU VM (416 MiB at 1.6M
+# columns, 1,538 MiB at 6.3M), so this keeps assembly under about 2.6 GB.
+MAX_LP_COLUMNS = 10**7
 
 _NUMBER = (int, float)
 _TYPES = {  # kind -> (test, what a value must be)
@@ -331,6 +335,21 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     for dotted, value in overrides:
         _set_path(merged, dotted, value)
     return RunConfig(_validate(merged))
+
+
+def check_lp_columns(config: RunConfig) -> None:
+    """Refuse an `lp` stage of more than MAX_LP_COLUMNS columns.  Not a rule of
+    `_validate`: `apply_override` validates after each override, and
+    `ergobench/op.py` builds `lp_2d`'s small program through this large one
+    (grid.dim=2 before grid.spacing and lp.xi_count)."""
+    if "lp" not in SCENARIOS[config.scenario]:
+        return
+    nodes, atoms = config.grid().num_nodes, config["lp"]["xi_count"] ** config["grid"]["dim"]
+    if nodes * atoms > MAX_LP_COLUMNS:
+        raise ConfigError(
+            f"'lp.xi_count': the lp stage asks for {nodes} nodes x {atoms} atoms ="
+            f" {Decimal(nodes * atoms):.3g} columns (limit {Decimal(MAX_LP_COLUMNS):.3g})"
+        )
 
 
 def apply_override(config: RunConfig, dotted: str, value: str) -> RunConfig:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SCENARIOS, RunConfig
+from .config import SCENARIOS, RunConfig, check_lp_columns
 from .density import GridMeasure, ReducibleChainError, average_cost, stationary_density
 from .eigensolver import (
     ErgodicSolution,
@@ -124,12 +124,14 @@ def _report_sim(rep) -> dict:
 def run_scenario(config: RunConfig, out_dir: str | Path) -> RunReport:
     """Execute one scenario, write its artifacts, and return the report.
 
-    Parsing refused every configuration that cannot run, so the exit code is
+    Parsing refused every configuration that cannot run but an `lp` stage over
+    the column limit, refused here before anything is written; the exit code is
     0 when all declared checks pass, 1 on a failed check and 3 on a numerical
-    failure; the partial report is written in every case.  Each distinct
+    failure, and the partial report is written in every case.  Each distinct
     warning the stages raise is recorded once under ``results.warnings``, in
     the order raised.
     """
+    check_lp_columns(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.time()

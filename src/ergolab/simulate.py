@@ -7,6 +7,12 @@ fixed blocks, and every reduction is per path, so path p's statistics are
 bitwise the same among any number of paths.  Path p draws the same increments
 under every control, so `compare_controls` ranks its controls on common
 random numbers.
+
+The step loop holds only the sequential part: it records each step's state
+and control in block buffers, updates the state and mirrors it.  Once per
+block the steps are priced with `hamiltonian.running_cost`, the F of the
+measure LP's objective and of the density's average cost, and each statistic
+adds its window's rows in step order, with the bits of a step-by-step sum.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid, bilinear, check_vector_field, fill_boundary_nearest
-from .hamiltonian import HamiltonianModel, PotentialSpec
+from .hamiltonian import HamiltonianModel, PotentialSpec, running_cost
 
 _BLOCK = 4096
 PATHWISE_SIGMAS = 5.0  # slack of pathwise_dominates, in competitor standard errors
@@ -83,6 +89,13 @@ class ErgodicAverageReport:
         return float(self.path_averages[ok].std(ddof=1) / np.sqrt(n))
 
 
+def _add_steps(total: np.ndarray, values: np.ndarray, first: int, lo: int, hi: int) -> np.ndarray:
+    """``total`` plus those rows of ``values`` (steps first, first + 1, ...) that
+    fall in steps [lo, hi), added one at a time in step order."""
+    rows = values[max(lo - first, 0) : max(hi - first, 0)]
+    return np.add.accumulate(np.concatenate([total[None], rows]))[-1]
+
+
 def _run_paths(
     grid: Grid,
     field: np.ndarray,
@@ -108,47 +121,29 @@ def _run_paths(
         raise ValueError(f"x0 must list grid.dim coordinates within +-{wall:g}")
     cost_sum, half_sum, adm_sum, adm_q1, adm_q2 = np.zeros((5, P))
     scale = np.sqrt(2.0 * dt)
-
-    # hoisted hot-loop closures; the generic module functions would spend the
-    # whole budget on shape normalization at 1e6+ calls
-    fval = potential.value_fn
-    gs = model.gamma_star
-    drift = model.drift
-    if dim == 1:  # np.interp written into a preallocated column of xi
-        xi = np.empty((P, 1))
-        xi_col, x_col, field_col = xi[:, 0], X[:, 0], field[:, 0]
-        axis = grid.axis_coords
+    xs, xis = np.empty((2, min(_BLOCK, n_steps), P, dim))  # each step's X and xi(X)
 
     for k in range(0, n_steps, _BLOCK):
         b = min(_BLOCK, n_steps - k)
         dw = np.stack([g.standard_normal((b, dim)) for g in gens], axis=1) * scale
         for j in range(b):
-            step = k + j
-            if dim == 1:
-                xi_col[:] = np.interp(x_col, axis, field_col)
-                xin = np.abs(xi_col)
-            else:
-                xi = bilinear(grid, field, X)
-                xin = np.sqrt(np.einsum("ij,ij->i", xi, xi))
-            adm = xin**gs
-            if drift is not None:  # the Lagrangian reads xi - b(X)
-                eta = xi - drift(X)
-                lag = np.sqrt(np.einsum("ij,ij->i", eta, eta)) ** gs
-            cost = fval(X) + (adm if drift is None else lag) / gs
-            if step >= burn_idx:
-                cost_sum += cost
-            if step >= half_idx:
-                half_sum += cost
-                adm_q2 += adm
-            elif step >= quarter_idx:
-                adm_q1 += adm
-            adm_sum += adm
-            X += -xi * dt + dw[j]
+            xs[j] = X
+            xis[j] = (np.interp(X, grid.axis_coords, field[:, 0]) if dim == 1
+                      else bilinear(grid, field, X))
+            X += -xis[j] * dt + dw[j]
             # mirror what passed the wall; written so that a NaN row, which
             # stays NaN, does not hide another row from the test
             if not np.abs(X).max() <= wall:
                 mirrored = np.clip(np.copysign(2 * wall, X) - X, -wall, wall)
                 np.copyto(X, mirrored, where=np.abs(X) > wall)
+        x, xi = xs[:b].reshape(-1, dim), xis[:b].reshape(-1, dim)
+        cost = running_cost(model, potential, x, xi).reshape(b, P)
+        adm = (np.linalg.norm(xi, axis=1) ** model.gamma_star).reshape(b, P)
+        cost_sum = _add_steps(cost_sum, cost, k, burn_idx, n_steps)
+        half_sum = _add_steps(half_sum, cost, k, half_idx, n_steps)
+        adm_sum = _add_steps(adm_sum, adm, k, 0, n_steps)
+        adm_q1 = _add_steps(adm_q1, adm, k, quarter_idx, half_idx)
+        adm_q2 = _add_steps(adm_q2, adm, k, half_idx, n_steps)
 
     denom_main = (n_steps - burn_idx) * dt
     denom_half = (n_steps - half_idx) * dt

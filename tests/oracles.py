@@ -8,10 +8,12 @@ import numpy as np
 from scipy import sparse
 
 from ergolab.density import DensityField, GridMeasure
-from ergolab.grid import Grid, _axis_slab, _differences, check_scalar_field, check_vector_field
+from ergolab.grid import (
+    Grid, _axis_slab, _differences, bilinear, check_scalar_field, check_vector_field
+)
 from ergolab.hamiltonian import HamiltonianModel, PotentialSpec, running_cost
 from ergolab.operators import Compressed, assemble_generator
-from ergolab.simulate import simulate_average
+from ergolab.simulate import _BLOCK, SimParams, simulate_average
 
 PATH_ARRAYS = (
     "path_averages", "half_averages", "admissibility", "admissibility_ratio", "diverged"
@@ -119,6 +121,90 @@ def path_count_mismatches(grid, control, model, potential, params, counts=(1, 2,
             if not np.array_equal(a, b, equal_nan=key != "diverged"):
                 mismatches.append((n, key))
     return mismatches
+
+
+def step_by_step_paths(
+    grid: Grid,
+    field: np.ndarray,
+    model: HamiltonianModel,
+    potential: PotentialSpec,
+    params: SimParams,
+) -> dict:
+    """Reference for ``simulate._run_paths``: the same paths integrated and
+    priced one step at a time, with the running cost written out inline and
+    every statistic added as its step comes; returns each per-path statistic
+    keyed by its report field."""
+    dt = params.timestep
+    n_steps = params.n_steps
+    burn_idx = int(round(params.burn_in / dt))
+    half_idx = n_steps // 2
+    quarter_idx = n_steps // 4
+    wall = grid.wall
+
+    P, dim = params.n_paths, grid.dim
+    streams = np.random.SeedSequence(params.seed).spawn(P)
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+
+    X = np.tile(np.asarray(params.x0, dtype=float), (P, 1))
+    if X.shape[1] != dim or not np.abs(X).max() <= wall:
+        raise ValueError(f"x0 must list grid.dim coordinates within +-{wall:g}")
+    cost_sum, half_sum, adm_sum, adm_q1, adm_q2 = np.zeros((5, P))
+    scale = np.sqrt(2.0 * dt)
+
+    # hoisted hot-loop closures; the generic module functions would spend the
+    # whole budget on shape normalization at 1e6+ calls
+    fval = potential.value_fn
+    gs = model.gamma_star
+    drift = model.drift
+    if dim == 1:  # np.interp written into a preallocated column of xi
+        xi = np.empty((P, 1))
+        xi_col, x_col, field_col = xi[:, 0], X[:, 0], field[:, 0]
+        axis = grid.axis_coords
+
+    for k in range(0, n_steps, _BLOCK):
+        b = min(_BLOCK, n_steps - k)
+        dw = np.stack([g.standard_normal((b, dim)) for g in gens], axis=1) * scale
+        for j in range(b):
+            step = k + j
+            if dim == 1:
+                xi_col[:] = np.interp(x_col, axis, field_col)
+                xin = np.abs(xi_col)
+            else:
+                xi = bilinear(grid, field, X)
+                xin = np.sqrt(np.einsum("ij,ij->i", xi, xi))
+            adm = xin**gs
+            if drift is not None:  # the Lagrangian reads xi - b(X)
+                eta = xi - drift(X)
+                lag = np.sqrt(np.einsum("ij,ij->i", eta, eta)) ** gs
+            cost = fval(X) + (adm if drift is None else lag) / gs
+            if step >= burn_idx:
+                cost_sum += cost
+            if step >= half_idx:
+                half_sum += cost
+                adm_q2 += adm
+            elif step >= quarter_idx:
+                adm_q1 += adm
+            adm_sum += adm
+            X += -xi * dt + dw[j]
+            # mirror what passed the wall; written so that a NaN row, which
+            # stays NaN, does not hide another row from the test
+            if not np.abs(X).max() <= wall:
+                mirrored = np.clip(np.copysign(2 * wall, X) - X, -wall, wall)
+                np.copyto(X, mirrored, where=np.abs(X) > wall)
+
+    denom_main = (n_steps - burn_idx) * dt
+    denom_half = (n_steps - half_idx) * dt
+    denom_q1 = (half_idx - quarter_idx) * dt
+    q1 = adm_q1 / max(denom_q1, dt)
+    q2 = adm_q2 / denom_half
+    ratio = np.where(q1 > 0, q2 / np.where(q1 > 0, q1, 1.0), 1.0)
+    return {
+        "path_averages": cost_sum * dt / denom_main,
+        "half_averages": half_sum * dt / denom_half,
+        "admissibility": adm_sum * dt,
+        "admissibility_ratio": ratio,
+        "diverged": ~np.isfinite(X).all(axis=1),
+    }
 
 
 def exact_pair_measure(density: DensityField, control: np.ndarray) -> GridMeasure:

@@ -267,6 +267,27 @@ def test_grids_and_work_sized_at_parse_time(tmp_path, capsys, command, args, key
 
 
 @pytest.mark.parametrize(
+    "sets",
+    [
+        ["grid.dim=2"],  # 161^2 nodes x 41^2 atoms = 43.6M columns at the defaults
+        ["grid.spacing=0.2", "lp.xi_count=1000001"],  # 41 nodes x 1,000,001 atoms
+    ],
+)
+def test_lp_over_the_column_limit_refused_before_the_run(tmp_path, capsys, sets):
+    out = tmp_path / "run"
+    args = [arg for item in sets for arg in ("--set", item)]
+    assert main(["lp", "--out-dir", str(out)] + args) == 2
+    assert "'lp.xi_count'" in capsys.readouterr().err
+    assert not out.exists()
+    # the limit is read where a run starts: a config built one override at a
+    # time may pass through such a program on its way to a small one
+    config = parse_config(json.dumps({"scenario": "lp"}), [tuple(s.split("=")) for s in sets])
+    with pytest.raises(ConfigError, match="'lp.xi_count'"):
+        run_scenario(config, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "sets, key",
     [
         (["model.drift_amplitude=0.5"], "model.drift_amplitude"),  # under none

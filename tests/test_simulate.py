@@ -7,6 +7,7 @@ from ergolab.eigensolver import solve_ergodic_hjb
 from ergolab.grid import bilinear, build_grid, fill_boundary_nearest
 from ergolab.hamiltonian import drift_power, pure_power, quadratic_power_potential
 from ergolab.simulate import (
+    _BLOCK,
     ComparisonReport,
     ErgodicAverageReport,
     SimParams,
@@ -14,7 +15,7 @@ from ergolab.simulate import (
     compare_controls,
     simulate_average,
 )
-from oracles import PATH_ARRAYS, path_count_mismatches
+from oracles import PATH_ARRAYS, path_count_mismatches, step_by_step_paths
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,53 @@ def test_non_finite_paths_flagged_divergent(instance):
     nan_paths = ~np.isfinite(out["path_averages"])
     assert 0 < nan_paths.sum() < p.n_paths
     assert np.array_equal(out["diverged"], nan_paths)
+
+
+def assert_bits_equal_but_nan_sign(a, b, key):
+    if a.dtype == bool:
+        assert np.array_equal(a, b), key
+        return
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b)), key
+    assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)), key
+
+
+# (paths, steps, burn-in steps): one block with a remainder, two whole blocks
+# with the burn-in and the half window starting on the block edge, and two
+# blocks and three steps with both starting just past it; the quarter window
+# starts inside the first block
+@pytest.mark.parametrize(
+    "n_paths, n_steps, burn_steps",
+    [(1, _BLOCK - 96, 400), (8, 2 * _BLOCK, _BLOCK), (48, 2 * _BLOCK + 3, _BLOCK + 1)],
+)
+@pytest.mark.parametrize("control", ["outward", "nan_right_of_1"])
+@pytest.mark.parametrize("drift", ["none", "sine"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_paths_equals_the_step_by_step_reference(
+    dim, drift, control, n_paths, n_steps, burn_steps
+):
+    # pricing a block of steps at once adds every statistic in step order, so
+    # each report field keeps the bits of the kernel that prices step by step
+    g = build_grid(dim, 2.0, 0.1)
+    model = pure_power(1.5) if drift == "none" else drift_power(1.5, lambda x: 0.5 * np.sin(x))
+    pot = quadratic_power_potential(1.5)
+    if control == "outward":  # drives every path into the wall
+        field = -3.0 * np.sign(g.coords)
+    else:  # restoring, and NaN right of x = 1, which some paths reach
+        field = 12.0 * g.coords
+        field[g.coords[:, 0] > 1.0] = np.nan
+    dt = 1e-3
+    p = SimParams(horizon=n_steps * dt, timestep=dt, n_paths=n_paths, seed=21,
+                  burn_in=burn_steps * dt, x0=(0.3,) * dim)
+    assert p.n_steps == n_steps
+    out = _run_paths(g, field, model, pot, p)
+    ref = step_by_step_paths(g, field, model, pot, p)
+    for key in PATH_ARRAYS:
+        assert_bits_equal_but_nan_sign(out[key], ref[key], key)
+    if control == "outward":
+        assert not ref["diverged"].any()
+    elif n_paths > 1:  # finite and NaN rows side by side
+        assert 0 < ref["diverged"].sum() < n_paths
 
 
 def _synthetic_report(half_averages, diverged=(False, False, False)):
